@@ -3,8 +3,11 @@
 Every output file starts with comment lines recording the tool version, a hash
 of the run configuration, and hashes of the input files, so a run is fully
 reproducible from its outputs. With a fixed seed and fixed inputs the output
-directory is byte-identical across runs, worker counts, CPUs and BLAS/LAPACK
-builds.
+directory is byte-identical across runs, CPUs and BLAS/LAPACK builds.
+
+Each invocation is one run: flags are checked before any file is read or
+written, and the dataset, the graphs and the index table are computed at most
+once, on first use, however many outputs are written from them.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import ExitStack
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +26,7 @@ import numpy as np
 from . import __version__, dataset_io
 from .econometrics import DesignMatrix, select_model, standardize
 from .fixture import generate
-from .graph import WeightScheme, build_glsn, edge_list_rows, graph_stats
+from .graph import Glsn, WeightScheme, build_glsn, edge_list_rows, graph_stats
 from .gravity import (
     GravityVariant,
     assemble_pairs,
@@ -30,7 +35,7 @@ from .gravity import (
     fit_gravity,
     predict_ln_btv,
 )
-from .indices import L_VALUES, build_index_table
+from .indices import L_VALUES, CountryIndexTable, build_index_table
 from .ingest import (
     parse_bilateral,
     parse_country_econ,
@@ -45,77 +50,66 @@ SCHEME_NAMES = {s.value: s for s in WeightScheme}
 VARIANT_NAMES = {v.value: v for v in GravityVariant}
 DEFAULT_VARIANTS = ["base", "lsbci", "gb", "lsbci_gb"]
 DEPENDENTS = ("trade", "export", "import", "net_export", "gdp", "trade_change")
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf"
-        return repr(v)
-    return str(v)
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+DEPENDENT_FIELDS = {
+    "trade": "trade_value_usd", "export": "export_usd", "import": "import_usd",
+    "gdp": "gdp_usd", "trade_change": "trade_value_change_usd",
+}
+CANDIDATES = ("gc", "gc_norm", "gb", "fb", "fb_norm", "lsci", "tv")
+INPUTS = ("routes", "routes_meta", "ports", "countries", "bilateral")
 
 
 def _config_hash(args: argparse.Namespace) -> str:
     # input paths are excluded: the header already records content hashes,
     # and outputs must not depend on where the inputs live
-    skip = {"func", "out", "routes", "routes_meta", "ports", "countries", "bilateral"}
+    skip = {"func", "out", *INPUTS}
     items = {k: str(v) for k, v in sorted(vars(args).items()) if k not in skip}
     return hashlib.sha256(json.dumps(items, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _header(args: argparse.Namespace, input_paths: list[Path]) -> str:
-    lines = [f"# glsn {__version__}", f"# config_hash {_config_hash(args)}"]
-    for p in input_paths:
-        lines.append(f"# input {p.name} sha256 {_sha256(p)}")
-    return "\n".join(lines) + "\n"
-
-
-def _write_csv(path: Path, header: str, columns: list[str], rows: list[list]) -> None:
+def _write(path: Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(header)
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        f.write(text)
 
 
-def _input_paths(args: argparse.Namespace) -> list[Path]:
-    paths = []
-    for name in ("routes", "routes_meta", "ports", "countries", "bilateral"):
-        p = getattr(args, name, None)
-        if p:
-            paths.append(Path(p))
-    return paths
+def _lmax_caps(raw: str) -> tuple[int, ...]:
+    try:
+        caps = tuple(int(x) for x in raw.split(","))
+    except ValueError:
+        caps = ()
+    if not caps or any(c not in L_VALUES for c in caps):
+        raise DataError(f"bad --lmax value {raw!r}: expected caps from {L_VALUES}")
+    return caps
+
+
+def _names(raw: str, known, flag: str) -> list[str]:
+    names = [n.strip() for n in raw.split(",") if n.strip()]
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        raise DataError(f"{flag}: unknown {','.join(unknown)} (known: {','.join(known)})")
+    if not names or len(set(names)) != len(names):
+        raise DataError(f"{flag}: expected distinct names, got {raw!r}")
+    return names
+
+
+def _parse(parse, *paths: str):
+    """Parse the files at `paths`, opened as binary streams, with `parse`."""
+    try:
+        with ExitStack() as stack:
+            return parse(*(stack.enter_context(open(p, "rb")) for p in paths))
+    except OSError as exc:
+        raise DataError(f"cannot read {exc.filename}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{', '.join(paths)}: not UTF-8 text ({exc.reason})") from None
 
 
 def _load_dataset(args: argparse.Namespace):
-    routes_path = Path(args.routes)
-    if routes_path.suffix == ".json":
-        with open(routes_path, "rb") as f:
-            routes = parse_routes_json(f)
+    if Path(args.routes).suffix == ".json":
+        routes = _parse(parse_routes_json, args.routes)
     else:
-        meta = getattr(args, "routes_meta", None)
-        if meta:
-            with open(routes_path, "rb") as f, open(meta, "rb") as mf:
-                routes = parse_routes(f, mf)
-        else:
-            with open(routes_path, "rb") as f:
-                routes = parse_routes(f)
-    with open(args.ports, "rb") as f:
-        ports = parse_ports(f)
-    econ = None
-    if getattr(args, "countries", None):
-        with open(args.countries, "rb") as f:
-            econ = parse_country_econ(f)
-    bilateral = None
-    if getattr(args, "bilateral", None):
-        with open(args.bilateral, "rb") as f:
-            bilateral = parse_bilateral(f)
+        routes = _parse(parse_routes, *filter(None, (args.routes, args.routes_meta)))
+    ports = _parse(parse_ports, args.ports)
+    econ = _parse(parse_country_econ, args.countries) if args.countries else None
+    bilateral = _parse(parse_bilateral, args.bilateral) if args.bilateral else None
     report = validate_dataset(routes, ports, econ, bilateral, strict=args.strict)
     for line in report.summary_lines():
         print(f"validation: {line}", file=sys.stderr)
@@ -124,60 +118,96 @@ def _load_dataset(args: argparse.Namespace):
     return report.retained, ports, econ, bilateral
 
 
-def _scheme(args) -> WeightScheme:
-    return SCHEME_NAMES[args.weighting]
+class Run:
+    """One invocation: its checked flags and the stages computed from its inputs.
+
+    Every flag is checked on construction, before any file is read or written.
+    The dataset, graphs, index table, output header and output directory are
+    each computed on first use and then shared, so `report` computes them
+    once and `build` never computes indices.
+    """
+
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
+        flags = vars(args)
+        if "lmax" in flags:
+            self.lmax = _lmax_caps(args.lmax)
+        if "candidates" in flags:
+            self.candidates = _names(args.candidates, CANDIDATES, "--candidates")
+            if args.dependent == "trade_change" and "tv" not in self.candidates:
+                self.candidates.append("tv")
+            if not args.vif_threshold > 1:
+                raise DataError("--vif-threshold must exceed 1")
+        if "variant" in flags:
+            names = VARIANT_NAMES if args.variant == "all" else _names(
+                args.variant, VARIANT_NAMES, "--variant"
+            )
+            self.variants = [VARIANT_NAMES[v] for v in names]
+            if not 0 < args.coverage <= 1:
+                raise DataError("--coverage must be in (0, 1]")
+            if not args.bilateral:
+                raise DataError("--bilateral is required for gravity")
+
+    @cached_property
+    def dataset(self):
+        """(retained routes, ports, econ or None, bilateral or None)."""
+        return _load_dataset(self.args)
+
+    @cached_property
+    def structure(self) -> Glsn:
+        routes, ports, _, _ = self.dataset
+        return build_glsn(routes, ports, WeightScheme.UNWEIGHTED)
+
+    @cached_property
+    def weighted(self) -> Glsn:
+        scheme = SCHEME_NAMES[self.args.weighting]
+        if scheme is WeightScheme.UNWEIGHTED:
+            return self.structure
+        routes, ports, _, _ = self.dataset
+        return build_glsn(routes, ports, scheme)
+
+    @cached_property
+    def table(self) -> CountryIndexTable:
+        econ = self.dataset[2]
+        lsci = {e.country_code: e.lsci for e in econ} if econ else {}
+        return build_index_table(self.weighted, self.structure, self.lmax, lsci)
+
+    @cached_property
+    def header(self) -> str:
+        lines = [f"# glsn {__version__}", f"# config_hash {_config_hash(self.args)}"]
+        for path in filter(None, (getattr(self.args, name) for name in INPUTS)):
+            digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            lines.append(f"# input {Path(path).name} sha256 {digest}")
+        return "\n".join(lines) + "\n"
+
+    @cached_property
+    def out(self) -> Path:
+        out = Path(self.args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return out
+
+    def write_csv(self, name: str, columns: list[str], rows) -> None:
+        _write(self.out / name, self.header + dataset_io.csv_text(columns, rows))
 
 
-def _lmax_list(args) -> tuple[int, ...]:
-    vals = tuple(int(x) for x in str(args.lmax).split(","))
-    if not vals or any(v < 1 for v in vals):
-        raise DataError(f"bad --lmax value {args.lmax!r}")
-    return vals
-
-
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_build(args) -> None:
-    routes, ports, _, _ = _load_dataset(args)
-    out = _outdir(args)
-    header = _header(args, _input_paths(args))
-    g = build_glsn(routes, ports, _scheme(args))
-    _write_csv(
-        out / f"edges_{g.scheme.value}.csv",
-        header,
-        ["port_u", "port_v", "weight"],
-        [list(r) for r in edge_list_rows(g)],
-    )
+def cmd_build(run: Run) -> None:
+    g = run.weighted
     stats = graph_stats(g)
-    with open(out / "stats.json", "w", encoding="utf-8", newline="\n") as f:
-        json.dump({"scheme": g.scheme.value, **stats}, f, indent=2, sort_keys=True)
-        f.write("\n")
+    run.write_csv(f"edges_{g.scheme.value}.csv", ["port_u", "port_v", "weight"],
+                  edge_list_rows(g))
+    _write(run.out / "stats.json",
+           json.dumps({"scheme": g.scheme.value, **stats}, indent=2, sort_keys=True) + "\n")
     print(f"built {g.scheme.value}: {stats['node_count']} nodes, {stats['edge_count']} edges")
 
 
-def _index_table(args, routes, ports, econ):
-    g_struct = build_glsn(routes, ports, WeightScheme.UNWEIGHTED)
-    scheme = _scheme(args)
-    g_weighted = g_struct if scheme is WeightScheme.UNWEIGHTED else build_glsn(routes, ports, scheme)
-    lsci = {e.country_code: e.lsci for e in econ} if econ else {}
-    return build_index_table(g_weighted, g_struct, _lmax_list(args), lsci)
-
-
-def cmd_indices(args) -> None:
-    routes, ports, econ, _ = _load_dataset(args)
-    out = _outdir(args)
-    table = _index_table(args, routes, ports, econ)
+def cmd_indices(run: Run) -> None:
     columns = [
         "country_code", "port_count", "gc", "gc_norm",
         *[f"gb_l{l}" for l in L_VALUES], "fb", "fb_norm", "lsci",
     ]
-    rows = [[row[c] for c in columns] for row in table.csv_rows()]
-    _write_csv(out / "indices.csv", _header(args, _input_paths(args)), columns, rows)
-    print(f"indices for {len(rows)} countries -> {out / 'indices.csv'}")
+    rows = [[row[c] for c in columns] for row in run.table.csv_rows()]
+    run.write_csv("indices.csv", columns, rows)
+    print(f"indices for {len(rows)} countries -> {run.out / 'indices.csv'}")
 
 
 def _candidate_values(table, econ_by_code, lmax: int) -> dict[str, dict[str, float | None]]:
@@ -197,55 +227,33 @@ def _candidate_values(table, econ_by_code, lmax: int) -> dict[str, dict[str, flo
 
 
 def _dependent_value(e, dependent: str) -> float | None:
-    if dependent == "trade":
-        return e.trade_value_usd
-    if dependent == "export":
-        return e.export_usd
-    if dependent == "import":
-        return e.import_usd
-    if dependent == "net_export":
-        if e.export_usd is None or e.import_usd is None:
-            return None
-        return e.export_usd - e.import_usd
-    if dependent == "gdp":
-        return e.gdp_usd
-    return e.trade_value_change_usd
+    if dependent != "net_export":
+        return getattr(e, DEPENDENT_FIELDS[dependent])
+    if e.export_usd is None or e.import_usd is None:
+        return None
+    return e.export_usd - e.import_usd
 
 
-def cmd_regress(args) -> None:
-    routes, ports, econ, _ = _load_dataset(args)
+def cmd_regress(run: Run) -> None:
+    args, candidates = run.args, run.candidates
+    econ = run.dataset[2]
     if not econ:
         raise DataError("--countries is required for regress")
-    out = _outdir(args)
-    header = _header(args, _input_paths(args))
-    table = _index_table(args, routes, ports, econ)
-    lmax = _lmax_list(args)[0]
-
-    candidates = [c.strip() for c in args.candidates.split(",") if c.strip()]
-    if args.dependent == "trade_change" and "tv" not in candidates:
-        candidates.append("tv")
+    table = run.table
     econ_by_code = {e.country_code: e for e in econ}
-    values = _candidate_values(table, econ_by_code, lmax)
+    values = _candidate_values(table, econ_by_code, run.lmax[0])
 
     rows_x, rows_y, used = [], [], []
     excluded = 0
     for c in table.countries():
         e = econ_by_code.get(c)
-        if e is None:
+        y = _dependent_value(e, args.dependent) if e else None
+        xs = [values[c][name] for name in candidates]
+        if y is None or None in xs or (args.log_response and y <= 0):
             excluded += 1
             continue
-        y = _dependent_value(e, args.dependent)
-        xs = [values[c].get(name) for name in candidates]
-        if y is None or any(x is None for x in xs):
-            excluded += 1
-            continue
-        if args.log_response:
-            if y <= 0:
-                excluded += 1
-                continue
-            y = math.log(y)
         rows_x.append(xs)
-        rows_y.append(y)
+        rows_y.append(math.log(y) if args.log_response else y)
         used.append(c)
     if len(used) < len(candidates) + 2:
         raise DataError(
@@ -261,9 +269,8 @@ def cmd_regress(args) -> None:
     )
     selection = select_model(standardize(design), vif_threshold=args.vif_threshold)
 
-    _write_csv(
-        out / "regression_report.csv",
-        header,
+    run.write_csv(
+        "regression_report.csv",
         ["variables", "adjusted_r2", "aic", "max_vif", "admissible"],
         [
             ["+".join(r.variables), r.report.adjusted_r2, r.report.aic,
@@ -273,9 +280,8 @@ def cmd_regress(args) -> None:
     )
     if selection.verdict is not None:
         rep = selection.verdict.report
-        _write_csv(
-            out / "coefficients.csv",
-            header,
+        run.write_csv(
+            "coefficients.csv",
             ["variable", "coef", "ci_lo", "ci_hi", "p_value"],
             [
                 [name, rep.coefficients[name], rep.ci95[name][0],
@@ -286,44 +292,35 @@ def cmd_regress(args) -> None:
         verdict = "+".join(selection.verdict.variables)
     else:
         verdict = "none admissible"
-    _write_csv(
-        out / "scatter.csv",
-        header,
+    run.write_csv(
+        "scatter.csv",
         ["country_code", *candidates, args.dependent],
         [[c, *rows_x[i], rows_y[i]] for i, c in enumerate(used)],
     )
-    with open(out / "regress_summary.txt", "w", encoding="utf-8", newline="\n") as f:
-        f.write(header)
-        f.write(f"dependent: {args.dependent}\n")
-        f.write(f"log_response: {args.log_response}\n")
-        f.write(f"candidates: {','.join(candidates)}\n")
-        f.write(f"countries_used: {len(used)}\n")
-        f.write(f"countries_excluded: {excluded}\n")
-        f.write(f"vif_threshold: {_fmt(args.vif_threshold)}\n")
-        f.write(f"verdict: {verdict}\n")
+    _write(run.out / "regress_summary.txt", run.header + "".join([
+        f"dependent: {args.dependent}\n",
+        f"log_response: {args.log_response}\n",
+        f"candidates: {','.join(candidates)}\n",
+        f"countries_used: {len(used)}\n",
+        f"countries_excluded: {excluded}\n",
+        f"vif_threshold: {dataset_io.fmt(args.vif_threshold)}\n",
+        f"verdict: {verdict}\n",
+    ]))
     print(f"verdict: {verdict}")
 
 
-def cmd_gravity(args) -> None:
-    routes, ports, econ, bilateral = _load_dataset(args)
+def cmd_gravity(run: Run) -> None:
+    _, _, econ, bilateral = run.dataset
     if not econ or not bilateral:
         raise DataError("--countries and --bilateral are required for gravity")
-    out = _outdir(args)
-    header = _header(args, _input_paths(args))
-    table = _index_table(args, routes, ports, econ)
-    lmax = _lmax_list(args)[0]
-    g = build_glsn(routes, ports, WeightScheme.UNWEIGHTED)
-
-    if args.variant == "all":
-        variants = [VARIANT_NAMES[v] for v in VARIANT_NAMES]
-    else:
-        variants = [VARIANT_NAMES[v.strip()] for v in args.variant.split(",")]
+    table = run.table
+    gb = table.gb[run.lmax[0]]
 
     report_rows = []
     first_fit = None
-    for variant in variants:
+    for variant in run.variants:
         assembly = assemble_pairs(
-            econ, bilateral, variant, glsn=g, gb=table.gb[lmax], gc=table.gc
+            econ, bilateral, variant, glsn=run.structure, gb=gb, gc=table.gc
         )
         for reason, count in sorted(assembly.excluded.items()):
             print(f"gravity {variant.value}: excluded {count} pairs ({reason})",
@@ -333,28 +330,22 @@ def cmd_gravity(args) -> None:
         if first_fit is None:
             first_fit = (variant, fit, assembly.samples)
 
-    _write_csv(
-        out / "gravity_report.csv",
-        header,
-        ["variant", "adjusted_r2", "aic", "max_vif"],
-        report_rows,
-    )
+    run.write_csv("gravity_report.csv", ["variant", "adjusted_r2", "aic", "max_vif"],
+                  report_rows)
 
     variant, fit, samples = first_fit
-    _write_csv(
-        out / "pair_predictions.csv",
-        header,
+    run.write_csv(
+        "pair_predictions.csv",
         ["country_i", "country_j", "ln_btv_emp", "ln_btv_pred"],
         [
             [s.country_i, s.country_j, s.ln_btv, predict_ln_btv(fit, s, variant)]
             for s in samples
         ],
     )
-    retained, excluded = coverage_filter(econ, bilateral, args.coverage)
+    retained, excluded = coverage_filter(econ, bilateral, run.args.coverage)
     estimate = estimate_country_trade(fit, samples, variant)
-    _write_csv(
-        out / "country_estimates.csv",
-        header,
+    run.write_csv(
+        "country_estimates.csv",
         ["country_code", "empirical_btv_sum", "estimated_btv_sum", "covered"],
         [
             [c, estimate.empirical.get(c), estimate.estimated.get(c),
@@ -362,36 +353,36 @@ def cmd_gravity(args) -> None:
             for c in sorted(estimate.empirical)
         ],
     )
-    with open(out / "gravity_summary.txt", "w", encoding="utf-8", newline="\n") as f:
-        f.write(header)
-        f.write(f"primary_variant: {variant.value}\n")
-        f.write(f"pairs_fitted: {len(samples)}\n")
-        f.write(f"pearson_empirical_vs_estimated: {_fmt(estimate.pearson_r)}\n")
-        f.write(f"implied_adjusted_r2: {_fmt(estimate.implied_adjusted_r2)}\n")
-        f.write(f"coverage_threshold: {_fmt(args.coverage)}\n")
-        f.write(f"countries_covered: {len(retained)}\n")
-        f.write(f"countries_excluded_by_coverage: {len(excluded)}\n")
-        f.write("note: country totals use exp of the fitted conditional mean of "
-                "ln(btv); no log-normal correction\n")
+    _write(run.out / "gravity_summary.txt", run.header + "".join([
+        f"primary_variant: {variant.value}\n",
+        f"pairs_fitted: {len(samples)}\n",
+        f"pearson_empirical_vs_estimated: {dataset_io.fmt(estimate.pearson_r)}\n",
+        f"implied_adjusted_r2: {dataset_io.fmt(estimate.implied_adjusted_r2)}\n",
+        f"coverage_threshold: {dataset_io.fmt(run.args.coverage)}\n",
+        f"countries_covered: {len(retained)}\n",
+        f"countries_excluded_by_coverage: {len(excluded)}\n",
+        "note: country totals use exp of the fitted conditional mean of "
+        "ln(btv); no log-normal correction\n",
+    ]))
     print(f"gravity: {len(report_rows)} variants fitted, "
           f"reconstruction r={estimate.pearson_r:.4f}")
 
 
-def cmd_report(args) -> None:
-    cmd_build(args)
-    cmd_indices(args)
-    cmd_regress(args)
-    cmd_gravity(args)
+def cmd_report(run: Run) -> None:
+    cmd_build(run)
+    cmd_indices(run)
+    cmd_regress(run)
+    cmd_gravity(run)
 
 
-def cmd_gen_fixture(args) -> None:
+def cmd_gen_fixture(run: Run) -> None:
+    args = run.args
     ds = generate(
         seed=args.seed,
         n_countries=args.n_countries,
         n_ports=args.n_ports,
         n_routes=args.n_routes,
     )
-    out = _outdir(args)
     files = {
         "routes.csv": dataset_io.routes_csv(ds.routes),
         "routes_meta.csv": dataset_io.routes_meta_csv(ds.routes),
@@ -400,11 +391,10 @@ def cmd_gen_fixture(args) -> None:
         "bilateral.csv": dataset_io.bilateral_csv(ds.bilateral),
     }
     for name, text in files.items():
-        with open(out / name, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+        _write(run.out / name, text)
     print(f"fixture seed={args.seed}: {len(ds.ports)} ports, "
           f"{len({p.country_code for p in ds.ports})} countries, "
-          f"{len(ds.routes)} routes -> {out}")
+          f"{len(ds.routes)} routes -> {run.out}")
 
 
 def _add_io_args(p: argparse.ArgumentParser, need_econ=False) -> None:
@@ -418,6 +408,18 @@ def _add_io_args(p: argparse.ArgumentParser, need_econ=False) -> None:
                    help="path-length caps; the first value feeds gb into regressions")
     p.add_argument("--out", required=True)
     p.add_argument("--strict", action="store_true")
+
+
+def _add_regress_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--dependent", choices=DEPENDENTS, default="trade")
+    p.add_argument("--candidates", default="gc,gb,fb,lsci")
+    p.add_argument("--vif-threshold", dest="vif_threshold", type=float, default=5.0)
+    p.add_argument("--log-response", dest="log_response", action="store_true")
+
+
+def _add_gravity_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--variant", default=",".join(DEFAULT_VARIANTS))
+    p.add_argument("--coverage", type=float, default=0.9)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,26 +437,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regress", help="best-subset regression of a country outcome")
     _add_io_args(p, need_econ=True)
-    p.add_argument("--dependent", choices=DEPENDENTS, default="trade")
-    p.add_argument("--candidates", default="gc,gb,fb,lsci")
-    p.add_argument("--vif-threshold", dest="vif_threshold", type=float, default=5.0)
-    p.add_argument("--log-response", dest="log_response", action="store_true")
+    _add_regress_args(p)
     p.set_defaults(func=cmd_regress)
 
     p = sub.add_parser("gravity", help="gravity model fits and trade reconstruction")
     _add_io_args(p, need_econ=True)
-    p.add_argument("--variant", default=",".join(DEFAULT_VARIANTS))
-    p.add_argument("--coverage", type=float, default=0.9)
+    _add_gravity_args(p)
     p.set_defaults(func=cmd_gravity)
 
     p = sub.add_parser("report", help="run build + indices + regress + gravity")
     _add_io_args(p, need_econ=True)
-    p.add_argument("--dependent", choices=DEPENDENTS, default="trade")
-    p.add_argument("--candidates", default="gc,gb,fb,lsci")
-    p.add_argument("--vif-threshold", dest="vif_threshold", type=float, default=5.0)
-    p.add_argument("--log-response", dest="log_response", action="store_true")
-    p.add_argument("--variant", default=",".join(DEFAULT_VARIANTS))
-    p.add_argument("--coverage", type=float, default=0.9)
+    _add_regress_args(p)
+    _add_gravity_args(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("gen-fixture", help="generate a seeded synthetic dataset")
@@ -471,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        args.func(Run(args))
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,7 +7,9 @@ import io
 from .model import BilateralRecord, CountryEcon, Port, ServiceRoute
 
 
-def _fmt(v) -> str:
+def fmt(v) -> str:
+    """One CSV/summary field: blank for None, `repr` for floats (so `inf`,
+    `-inf` and shortest round-trip digits), `str` otherwise."""
     if v is None:
         return ""
     if isinstance(v, float):
@@ -15,11 +17,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
+def csv_text(columns: list[str], rows) -> str:
     buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
+    buf.write(",".join(columns) + "\n")
     for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
+        buf.write(",".join(fmt(v) for v in row) + "\n")
     return buf.getvalue()
 
 
@@ -28,7 +30,7 @@ def routes_csv(routes: list[ServiceRoute]) -> str:
     for r in sorted(routes, key=lambda r: r.route_id):
         for seq, pid in enumerate(r.port_calls, start=1):
             rows.append([r.route_id, seq, pid])
-    return _csv(["route_id", "seq", "port_id"], rows)
+    return csv_text(["route_id", "seq", "port_id"], rows)
 
 
 def routes_meta_csv(routes: list[ServiceRoute]) -> str:
@@ -36,12 +38,12 @@ def routes_meta_csv(routes: list[ServiceRoute]) -> str:
         [r.route_id, r.capacity_teu]
         for r in sorted(routes, key=lambda r: r.route_id)
     ]
-    return _csv(["route_id", "capacity_teu"], rows)
+    return csv_text(["route_id", "capacity_teu"], rows)
 
 
 def ports_csv(ports: list[Port]) -> str:
     rows = [[p.port_id, p.name, p.country_code] for p in sorted(ports, key=lambda p: p.port_id)]
-    return _csv(["port_id", "name", "country_code"], rows)
+    return csv_text(["port_id", "name", "country_code"], rows)
 
 
 def countries_csv(econ: list[CountryEcon]) -> str:
@@ -70,7 +72,7 @@ def countries_csv(econ: list[CountryEcon]) -> str:
         ]
         for e in sorted(econ, key=lambda e: e.country_code)
     ]
-    return _csv(header, rows)
+    return csv_text(header, rows)
 
 
 def bilateral_csv(bilateral: list[BilateralRecord]) -> str:
@@ -78,4 +80,4 @@ def bilateral_csv(bilateral: list[BilateralRecord]) -> str:
         [rec.pair[0], rec.pair[1], rec.btv_usd, rec.lsbci]
         for rec in sorted(bilateral, key=lambda r: r.pair)
     ]
-    return _csv(["country_i", "country_j", "btv_usd", "lsbci"], rows)
+    return csv_text(["country_i", "country_j", "btv_usd", "lsbci"], rows)

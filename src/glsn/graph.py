@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -105,14 +106,16 @@ def build_glsn(
     return Glsn(scheme=scheme, country_of=country_of, edges=edges)
 
 
+def port_counts(country_of: dict[str, str]) -> dict[str, int]:
+    """Number of ports per country, countries in first-seen order."""
+    return dict(Counter(country_of.values()))
+
+
 def graph_stats(g: Glsn) -> dict:
-    per_country: dict[str, int] = {}
-    for country in g.country_of.values():
-        per_country[country] = per_country.get(country, 0) + 1
     return {
         "node_count": g.node_count,
         "edge_count": g.edge_count,
-        "ports_per_country": dict(sorted(per_country.items())),
+        "ports_per_country": dict(sorted(port_counts(g.country_of).items())),
     }
 
 

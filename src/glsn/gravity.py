@@ -181,14 +181,9 @@ def _design_from_samples(
     samples: list[CountryPairSample], variant: GravityVariant
 ) -> DesignMatrix:
     names = variant.variable_names()
-    cols = {
-        "ln_gdp_product": [s.ln_gdp_product for s in samples],
-        "ln_distance": [s.ln_distance for s in samples],
-        "ln_lsbci": [s.ln_lsbci for s in samples],
-        "ln_gb_product": [s.ln_gb_product for s in samples],
-        "ln_gc_product": [s.ln_gc_product for s in samples],
-    }
-    x = np.column_stack([np.asarray(cols[n], dtype=float) for n in names])
+    x = np.column_stack(
+        [np.asarray([getattr(s, n) for s in samples], dtype=float) for n in names]
+    )
     y = np.asarray([s.ln_btv for s in samples], dtype=float)
     return DesignMatrix(variables=names, x=x, response_name="ln_btv", y=y)
 
@@ -205,16 +200,9 @@ def fit_gravity(
 def predict_ln_btv(
     report: RegressionReport, sample: CountryPairSample, variant: GravityVariant
 ) -> float:
-    values = {
-        "ln_gdp_product": sample.ln_gdp_product,
-        "ln_distance": sample.ln_distance,
-        "ln_lsbci": sample.ln_lsbci,
-        "ln_gb_product": sample.ln_gb_product,
-        "ln_gc_product": sample.ln_gc_product,
-    }
     out = report.coefficients["intercept"]
     for name in variant.variable_names():
-        out += report.coefficients[name] * values[name]
+        out += report.coefficients[name] * getattr(sample, name)
     return out
 
 

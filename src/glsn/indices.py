@@ -10,25 +10,14 @@ each country with the fraction of valid shortest paths it mediates.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import Glsn
+from .graph import Glsn, port_counts
 from .model import DataError
 
 L_VALUES = (2, 3, 4, 5)
-
-
-def worker_count() -> int:
-    raw = os.environ.get("GLSN_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n) if n > 0 else 1
 
 
 def country_connectivity(g: Glsn) -> tuple[dict[str, float], dict[str, float]]:
@@ -44,17 +33,10 @@ def country_connectivity(g: Glsn) -> tuple[dict[str, float], dict[str, float]]:
         if cu != cv:
             terms[cu].append(w)
             terms[cv].append(w)
-    port_count = _port_counts(g)
+    port_count = port_counts(g.country_of)
     gc = {c: math.fsum(ts) for c, ts in terms.items()}
     gc_norm = {c: gc[c] / port_count[c] for c in gc}
     return gc, gc_norm
-
-
-def _port_counts(g: Glsn) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for c in g.country_of.values():
-        counts[c] = counts.get(c, 0) + 1
-    return counts
 
 
 def _shortest_path_country_profiles(
@@ -95,6 +77,22 @@ def _shortest_path_country_profiles(
     return dist, profiles
 
 
+def _valid_paths(
+    profile: dict[frozenset, int], forbidden: set[str]
+) -> tuple[int, dict[str, int]]:
+    """(n_st, delta) over the shortest paths of one pair, grouped as in
+    `profile`, keeping those with no intermediate port in `forbidden`."""
+    n_st = 0
+    delta: dict[str, int] = {}
+    for countries, count in profile.items():
+        if countries & forbidden:
+            continue
+        n_st += count
+        for c in countries:
+            delta[c] = delta.get(c, 0) + count
+    return n_st, delta
+
+
 def valid_shortest_path_profile(
     g: Glsn, s: str, t: str, l_max: int
 ) -> tuple[int, dict[str, int]]:
@@ -112,16 +110,7 @@ def valid_shortest_path_profile(
     dist, profiles = _shortest_path_country_profiles(g, adj, s, l_max)
     if t not in dist:
         return 0, {}
-    forbidden = {cs, ct}
-    n_st = 0
-    delta: dict[str, int] = {}
-    for countries, count in profiles.get(t, {}).items():
-        if countries & forbidden:
-            continue
-        n_st += count
-        for c in countries:
-            delta[c] = delta.get(c, 0) + count
-    return n_st, delta
+    return _valid_paths(profiles.get(t, {}), {cs, ct})
 
 
 def _source_contributions(
@@ -142,15 +131,7 @@ def _source_contributions(
         ct = g.country_of[t]
         if ct == cs:
             continue
-        forbidden = {cs, ct}
-        n_st = 0
-        delta: dict[str, int] = {}
-        for countries, count in profiles[t].items():
-            if countries & forbidden:
-                continue
-            n_st += count
-            for c in countries:
-                delta[c] = delta.get(c, 0) + count
+        n_st, delta = _valid_paths(profiles[t], {cs, ct})
         if n_st == 0:
             continue
         d = dist[t]
@@ -171,15 +152,7 @@ def glsn_betweenness_exact(
         raise DataError("l_values must be positive")
     depth_cap = max(l_values)
     adj = g.neighbors()
-    sources = g.nodes()
-    workers = worker_count()
-    if workers > 1 and len(sources) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_source = list(
-                pool.map(lambda s: _source_contributions(g, adj, s, depth_cap), sources)
-            )
-    else:
-        per_source = [_source_contributions(g, adj, s, depth_cap) for s in sources]
+    per_source = [_source_contributions(g, adj, s, depth_cap) for s in g.nodes()]
 
     countries = sorted(set(g.country_of.values()))
     result: dict[int, dict[str, Fraction]] = {}
@@ -237,12 +210,7 @@ def port_betweenness(g: Glsn) -> dict[str, float]:
     unnormalized; disconnected pairs contribute nothing."""
     adj = g.neighbors()
     sources = g.nodes()
-    workers = worker_count()
-    if workers > 1 and len(sources) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            deps = list(pool.map(lambda s: _brandes_source(adj, s), sources))
-    else:
-        deps = [_brandes_source(adj, s) for s in sources]
+    deps = [_brandes_source(adj, s) for s in sources]
     terms: dict[str, list[float]] = {p: [] for p in sources}
     for dep in deps:
         for v, x in dep.items():
@@ -259,9 +227,7 @@ def country_freeman(
     for p in sorted(b):
         terms[country_of[p]].append(b[p])
     fb = {c: math.fsum(ts) for c, ts in terms.items()}
-    counts: dict[str, int] = {}
-    for c in country_of.values():
-        counts[c] = counts.get(c, 0) + 1
+    counts = port_counts(country_of)
     fb_norm = {c: fb[c] / counts[c] for c in fb}
     return fb, fb_norm
 
@@ -313,7 +279,7 @@ def build_index_table(
     b = port_betweenness(g_structure)
     fb, fb_norm = country_freeman(b, g_structure.country_of)
     return CountryIndexTable(
-        port_count=_port_counts(g_structure),
+        port_count=port_counts(g_structure.country_of),
         gc=gc,
         gc_norm=gc_norm,
         gb=gb,

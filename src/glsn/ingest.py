@@ -92,7 +92,10 @@ def parse_routes(stream: IO, meta_stream: IO | None = None) -> list[ServiceRoute
 
 def parse_routes_json(stream: IO) -> list[ServiceRoute]:
     """JSON alternative: array of {route_id, capacity_teu, ports: [...]}."""
-    data = json.load(_text(stream))
+    try:
+        data = json.load(_text(stream))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"routes json: malformed ({exc})") from None
     if not isinstance(data, list):
         raise DataError("routes json: top level must be an array")
     routes = []
@@ -108,7 +111,10 @@ def parse_routes_json(stream: IO) -> list[ServiceRoute]:
         seen.add(rid)
         cap = obj.get("capacity_teu")
         if cap is not None:
-            cap = float(cap)
+            try:
+                cap = float(cap)
+            except (TypeError, ValueError):
+                raise DataError(f"routes json entry {i}: bad capacity {cap!r}") from None
             if cap < 0:
                 raise DataError(f"routes json entry {i}: negative capacity")
         routes.append(ServiceRoute(route_id=rid, port_calls=tuple(ports), capacity_teu=cap))

@@ -158,3 +158,68 @@ class TestReportDeterminism:
             tmp_path, GOLDEN, golden_files, shallow=False
         )
         assert mismatch == [] and errors == []
+
+
+class TestRunChecks:
+    @pytest.mark.parametrize("flags, needle", [
+        (["--variant", "bogus"], "bogus"),
+        (["--lmax", "abc"], "'abc'"),
+        (["--lmax", "2,,3"], "'2,,3'"),
+        (["--lmax", "7"], "'7'"),
+        (["--lmax", "1"], "'1'"),
+        (["--candidates", "gc,nosuch"], "nosuch"),
+        (["--candidates", ","], "--candidates"),
+        (["--candidates", "gc,gc"], "--candidates"),
+        (["--vif-threshold", "1"], "--vif-threshold"),
+        (["--coverage", "2"], "--coverage"),
+    ])
+    def test_bad_flag_exits_1_before_any_work(self, tmp_path, capsys, flags, needle):
+        out = tmp_path / "out"
+        assert run(["report", *REPORT_ARGS, *flags, "--out", out]) == 1
+        err = capsys.readouterr().err
+        # the error is the only line: no input was read
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, content, needle", [
+        ("absent.csv", None, "cannot read"),
+        ("routes.csv", b"route_id,seq,port_id\nR1,1,P\xff\n", "not UTF-8"),
+        ("routes.json", b'[{"route_id": "R1",', "malformed"),
+        ("routes.json", b'[{"route_id": "R1", "capacity_teu": "big", "ports": ["A", "B"]}]',
+         "bad capacity"),
+    ])
+    def test_bad_input_file_exits_1(self, tmp_path, capsys, name, content, needle):
+        routes = tmp_path / name
+        if content is not None:
+            routes.write_bytes(content)
+        out = tmp_path / "out"
+        assert run(["build", "--routes", routes, "--ports", FIXTURE / "ports.csv",
+                    "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
+        assert not out.exists()
+
+    def test_perfect_fit_writes_negative_infinite_aic(self, tmp_path):
+        # tv is the trade value itself, so the fit of trade on tv has RSS 0
+        assert run(["regress", *REPORT_ARGS, "--candidates", "tv", "--out", tmp_path]) == 0
+        rows = (tmp_path / "regression_report.csv").read_text().splitlines()
+        assert rows[-1] == "tv,1.0,-inf,1.0,1"
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize("weighting, graphs", [("none", 1), ("cap_pairs", 2)])
+    def test_report_computes_each_stage_once(self, tmp_path, capsys, monkeypatch,
+                                             weighting, graphs):
+        import glsn.cli
+
+        calls = {"validate_dataset": 0, "build_index_table": 0, "build_glsn": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(glsn.cli, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(glsn.cli, name, counted)
+        assert run(["report", *REPORT_ARGS, "--weighting", weighting,
+                    "--out", tmp_path]) == 0
+        assert calls == {"validate_dataset": 1, "build_index_table": 1, "build_glsn": graphs}
+        assert capsys.readouterr().err.count("retained routes") == 1
