@@ -67,8 +67,11 @@ def _config_hash(args: argparse.Namespace) -> str:
 
 
 def _write(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _lmax_caps(raw: str) -> tuple[int, ...]:
@@ -183,7 +186,10 @@ class Run:
     @cached_property
     def out(self) -> Path:
         out = Path(self.args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise DataError(f"cannot create --out {out}: {exc.strerror}") from None
         return out
 
     def write_csv(self, name: str, columns: list[str], rows) -> None:

@@ -106,6 +106,10 @@ def parse_routes_json(stream: IO) -> list[ServiceRoute]:
             ports = obj["ports"]
         except (TypeError, KeyError) as exc:
             raise DataError(f"routes json entry {i}: missing {exc}") from None
+        if not (isinstance(rid, str) and rid):
+            raise DataError(f"routes json entry {i}: route_id must be a non-empty string")
+        if not (isinstance(ports, list) and all(isinstance(p, str) and p for p in ports)):
+            raise DataError(f"routes json entry {i}: ports must be a list of non-empty strings")
         if rid in seen:
             raise DataError(f"routes json: duplicate route_id {rid!r}")
         seen.add(rid)

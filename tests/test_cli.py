@@ -200,6 +200,25 @@ class TestRunChecks:
         assert err.startswith("error: ") and needle in err
         assert not out.exists()
 
+    def test_out_naming_a_file_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("keep\n")
+        assert run(["build", "--routes", FIXTURE / "routes.csv",
+                    "--ports", FIXTURE / "ports.csv", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1
+        assert err.splitlines()[-1].startswith("error: cannot create --out")
+        assert out.read_text() == "keep\n"
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        (tmp_path / "stats.json").mkdir()
+        assert run(["build", "--routes", FIXTURE / "routes.csv",
+                    "--ports", FIXTURE / "ports.csv", "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1
+        assert err.splitlines()[-1].startswith("error: cannot write")
+        assert "stats.json" in err
+
     def test_perfect_fit_writes_negative_infinite_aic(self, tmp_path):
         # tv is the trade value itself, so the fit of trade on tv has RSS 0
         assert run(["regress", *REPORT_ARGS, "--candidates", "tv", "--out", tmp_path]) == 0

@@ -2,6 +2,7 @@ import csv
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,53 @@ class TestSelectModel:
         by_aic = sorted(singles, key=lambda r: r.aic)
         by_rss = sorted(singles, key=lambda r: r.rss)
         assert [r.variables for r in by_aic] == [r.variables for r in by_rss]
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    @pytest.mark.parametrize("standardized", [False, True])
+    def test_every_subset_equals_its_own_fit(self, k, standardized):
+        # bit-identity, not closeness: each table row must be the fit of that
+        # subset alone, in canonical order (size, then names)
+        rng = np.random.default_rng(100 + k)
+        n = 12 + 5 * k
+        x = rng.normal(size=(n, k)) * rng.uniform(0.01, 100.0, k) + rng.normal(0, 10, k)
+        if k >= 2:
+            x[:, 1] = x[:, 0] * 3.0 + rng.normal(0, 0.5 * x[:, 0].std(), n)  # VIF above 5
+        y = x @ rng.normal(size=k) + rng.normal(0, x.std(), n)
+        names = [f"v{(3 * j) % k}{j}" for j in range(k)]  # not in sorted order
+        d = design(x, y, names=names)
+        if standardized:
+            d = standardize(d)
+        sel = select_model(d)
+        canonical = [c for size in range(1, k + 1)
+                     for c in combinations(sorted(names), size)]
+        assert [r.variables for r in sel.table] == canonical
+        for row in sel.table:
+            assert row.report == ols_fit(d.subset(row.variables)), row.variables
+            assert row.admissible == (row.report.max_vif < sel.vif_threshold)
+        if k >= 2:
+            pair = next(r for r in sel.table if set(r.variables) == set(names[:2]))
+            assert pair.report.max_vif > 5.0 and not pair.admissible
+
+    def test_exactly_collinear_candidates_error(self):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(30, 3))
+        x[:, 2] = x[:, 0] + x[:, 1]
+        with pytest.raises(DataError, match="rank deficient"):
+            select_model(design(x, rng.normal(size=30)))
+
+    def test_too_few_observations_error(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(4, 4))
+        # sizes 1 and 2 fit; size 3 is the first with no residual degree of freedom
+        with pytest.raises(DataError, match="^need more than 4 observations, got 4$"):
+            select_model(design(x, rng.normal(size=4)))
+
+    def test_collinear_small_subset_reported_before_too_few_observations(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(5, 4))
+        x[:, 3] = 2.0 * x[:, 1]
+        with pytest.raises(DataError, match="rank deficient"):
+            select_model(design(x, rng.normal(size=5)))
 
 
 class TestScaleInvariance:

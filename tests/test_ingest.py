@@ -60,6 +60,19 @@ def test_parse_routes_json():
     assert r.capacity_teu == 600
 
 
+@pytest.mark.parametrize("entries", [
+    '{"route_id": "R1", "ports": 5}',
+    '{"route_id": "R1", "ports": "AAA01AAB01"}',
+    '{"route_id": "R1", "ports": ["A", "B"]}, {"route_id": 2, "ports": ["A", "B"]}',
+    '{"route_id": "R1", "ports": [1, 2]}',
+    '{"route_id": "R1", "ports": ["A", ""]}',
+    '{"route_id": "", "ports": ["A", "B"]}',
+])
+def test_parse_routes_json_bad_types(entries):
+    with pytest.raises(DataError, match="routes json entry"):
+        parse_routes_json(s(f"[{entries}]"))
+
+
 def test_parse_ports():
     ports = parse_ports(s("port_id,name,country_code\nSGSIN,Singapore,SGP\n"))
     assert ports == [Port("SGSIN", "Singapore", "SGP")]
