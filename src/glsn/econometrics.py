@@ -429,6 +429,8 @@ def vif(design: DesignMatrix) -> dict[str, float]:
         return {}
     if k == 1:
         return {design.variables[0]: 1.0}
+    if design.n_obs == 0:
+        raise DataError("vif needs at least one observation")
     for j, name in enumerate(design.variables):
         if (design.x[:, j] == design.x[0, j]).all():
             raise DataError(f"column {name!r} is constant")

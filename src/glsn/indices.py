@@ -4,7 +4,10 @@ Shortest paths are hop-count based throughout; edge weights only enter the
 connectivity index. A shortest path between ports of two countries is *valid*
 when its length is at most l_max and every intermediate port lies in a country
 different from both endpoint countries. The country betweenness index credits
-each country with the fraction of valid shortest paths it mediates.
+each country with the fraction of valid shortest paths it mediates. It runs one
+BFS per source port and sums the mediated path counts as integers per
+(distance, country, n_st), so every requested cap is an exact sum of a few
+fractions.
 """
 
 from __future__ import annotations
@@ -45,34 +48,29 @@ def _shortest_path_country_profiles(
     """BFS from s up to depth_cap; for each reached node, count shortest paths
     grouped by the set of intermediate-port countries along the path.
 
-    Path lengths are at most depth_cap, so at most depth_cap - 1 intermediate
-    countries per path; the grouping stays small.
+    One Brandes-style loop: every predecessor of v is popped before v, so
+    profiles[v] is complete when v is popped and is pushed to v's successors
+    at once. Path lengths are at most depth_cap, so at most depth_cap - 1
+    intermediate countries per path; the grouping stays small.
     """
     dist = {s: 0}
-    order = [s]
+    profiles: dict[str, dict[frozenset, int]] = {s: {frozenset(): 1}}
     q = deque([s])
     while q:
         v = q.popleft()
-        if dist[v] >= depth_cap:
+        dv = dist[v]
+        if dv >= depth_cap:
             continue
+        cv = frozenset() if v == s else frozenset((g.country_of[v],))
         for w in adj[v]:
             if w not in dist:
-                dist[w] = dist[v] + 1
-                order.append(w)
+                dist[w] = dv + 1
+                profiles[w] = {}
                 q.append(w)
-
-    profiles: dict[str, dict[frozenset, int]] = {s: {frozenset(): 1}}
-    for v in order:
-        dv = dist[v]
-        pv = profiles.get(v)
-        if pv is None:
-            continue
-        for w in adj[v]:
-            if dist.get(w) == dv + 1:
-                key_extra = None if v == s else g.country_of[v]
-                target = profiles.setdefault(w, {})
-                for countries, count in pv.items():
-                    key = countries if key_extra is None else countries | {key_extra}
+            if dist[w] == dv + 1:
+                target = profiles[w]
+                for countries, count in profiles[v].items():
+                    key = countries | cv
                     target[key] = target.get(key, 0) + count
     return dist, profiles
 
@@ -106,38 +104,8 @@ def valid_shortest_path_profile(
     cs, ct = g.country_of[s], g.country_of[t]
     if cs == ct:
         raise DataError(f"ports {s!r} and {t!r} are in the same country {cs!r}")
-    adj = g.neighbors()
-    dist, profiles = _shortest_path_country_profiles(g, adj, s, l_max)
-    if t not in dist:
-        return 0, {}
+    _, profiles = _shortest_path_country_profiles(g, g.neighbors(), s, l_max)
     return _valid_paths(profiles.get(t, {}), {cs, ct})
-
-
-def _source_contributions(
-    g: Glsn, adj: dict[str, list[str]], s: str, depth_cap: int
-) -> list[tuple[int, str, Fraction]]:
-    """Per-country betweenness terms from all valid pairs (s, t) with t > s.
-
-    Returns (pair_distance, country, delta/n) triples with exact rational
-    weights; the caller filters by the l_max actually requested, since all
-    shortest paths of a pair share one length.
-    """
-    cs = g.country_of[s]
-    dist, profiles = _shortest_path_country_profiles(g, adj, s, depth_cap)
-    out: list[tuple[int, str, Fraction]] = []
-    for t in sorted(profiles):
-        if t <= s:
-            continue
-        ct = g.country_of[t]
-        if ct == cs:
-            continue
-        n_st, delta = _valid_paths(profiles[t], {cs, ct})
-        if n_st == 0:
-            continue
-        d = dist[t]
-        for c in sorted(delta):
-            out.append((d, c, Fraction(delta[c], n_st)))
-    return out
 
 
 def glsn_betweenness_exact(
@@ -145,23 +113,35 @@ def glsn_betweenness_exact(
 ) -> dict[int, dict[str, Fraction]]:
     """Country betweenness for every requested path-length cap in one pass.
 
-    Accumulation is exact rational arithmetic, so e.g. the per-pair valid-path
-    weights of a country sum to integers without rounding error.
+    All shortest paths of a pair share one length, so each valid pair adds
+    its integer delta[c] to a bucket keyed by (pair distance, country, n_st).
+    The total for a cap is the exact sum of delta/n_st over the buckets within
+    it: one Fraction per bucket, never one per pair.
     """
     if not l_values or min(l_values) < 1:
         raise DataError("l_values must be positive")
     depth_cap = max(l_values)
     adj = g.neighbors()
-    per_source = [_source_contributions(g, adj, s, depth_cap) for s in g.nodes()]
+    buckets: dict[tuple[int, str, int], int] = {}
+    for s in g.nodes():
+        cs = g.country_of[s]
+        dist, profiles = _shortest_path_country_profiles(g, adj, s, depth_cap)
+        for t, profile in profiles.items():
+            ct = g.country_of[t]
+            if t <= s or ct == cs:
+                continue
+            n_st, delta = _valid_paths(profile, {cs, ct})
+            for c, k in delta.items():
+                key = (dist[t], c, n_st)
+                buckets[key] = buckets.get(key, 0) + k
 
     countries = sorted(set(g.country_of.values()))
     result: dict[int, dict[str, Fraction]] = {}
     for l_max in l_values:
         totals = {c: Fraction(0) for c in countries}
-        for contrib in per_source:
-            for d, c, x in contrib:
-                if d <= l_max:
-                    totals[c] += x
+        for (d, c, n_st), k in buckets.items():
+            if d <= l_max:
+                totals[c] += Fraction(k, n_st)
         result[l_max] = totals
     return result
 

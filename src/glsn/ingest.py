@@ -130,11 +130,14 @@ def parse_ports(stream: IO) -> list[Port]:
     ports = []
     seen = set()
     for lineno, row in enumerate(rd, start=2):
-        pid = row["port_id"].strip()
+        fields = [row[c] for c in ("port_id", "name", "country_code")]
+        if None in fields:
+            raise DataError(f"ports line {lineno}: needs port_id, name and country_code")
+        pid, name, country = (f.strip() for f in fields)
         if pid in seen:
             raise DataError(f"ports line {lineno}: duplicate port_id {pid!r}")
         seen.add(pid)
-        ports.append(Port(pid, row["name"].strip(), row["country_code"].strip()))
+        ports.append(Port(pid, name, country))
     return ports
 
 

@@ -132,6 +132,10 @@ class TestVif:
         out = vif(design(np.column_stack([x, x]), x))
         assert math.isinf(out["x1"]) and math.isinf(out["x2"])
 
+    def test_zero_rows_error(self):
+        with pytest.raises(DataError, match="observation"):
+            vif(design(np.empty((0, 2)), np.empty(0)))
+
     def test_vif_at_least_one(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(25, 4))

@@ -1,18 +1,21 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from glsn.indices import (
+    L_VALUES,
     country_connectivity,
     country_freeman,
     glsn_betweenness,
+    glsn_betweenness_exact,
     glsn_betweenness_profile,
     port_betweenness,
     valid_shortest_path_profile,
 )
 from glsn.model import DataError
-from glsn.oracle import glsn_betweenness_oracle, port_betweenness_oracle
+from glsn.oracle import all_shortest_paths, glsn_betweenness_oracle, port_betweenness_oracle
 
 from conftest import make_glsn, random_glsn
 
@@ -153,6 +156,38 @@ class TestGlsnBetweenness:
             [(mapping[u], mapping[v], w) for (u, v), w in g.edges.items()],
         )
         assert glsn_betweenness(g, 3) == glsn_betweenness(g2, 3)
+
+
+def _literal_gb(g, l_max):
+    """gb as exact Fractions, one term per pair from its listed shortest paths."""
+    totals = {c: Fraction(0) for c in set(g.country_of.values())}
+    nodes = g.nodes()
+    for i, s in enumerate(nodes):
+        for t in nodes[i + 1:]:
+            ends = {g.country_of[s], g.country_of[t]}
+            if len(ends) == 1:
+                continue
+            inters = [
+                {g.country_of[p] for p in path[1:-1]}
+                for path in all_shortest_paths(g, s, t)
+                if len(path) - 1 <= l_max
+            ]
+            valid = [inter for inter in inters if not inter & ends]
+            for c in totals:
+                k = sum(c in inter for inter in valid)
+                if k:
+                    totals[c] += Fraction(k, len(valid))
+    return totals
+
+
+class TestGlsnBetweennessExact:
+    @pytest.mark.parametrize("seed", [*range(20), *range(50, 60)])
+    def test_equals_literal_enumeration(self, seed):
+        g = random_glsn(seed)
+        literal = {l: _literal_gb(g, l) for l in L_VALUES}
+        for l in L_VALUES:
+            assert glsn_betweenness_exact(g, (l,)) == {l: literal[l]}, l
+        assert glsn_betweenness_exact(g, L_VALUES) == literal
 
 
 class TestPortBetweenness:

@@ -83,6 +83,12 @@ def test_parse_ports_duplicate():
         parse_ports(s("port_id,name,country_code\nA,x,XXA\nA,y,XXB\n"))
 
 
+@pytest.mark.parametrize("line", ["P2", "P2,Port Two"])
+def test_parse_ports_short_row(line):
+    with pytest.raises(DataError, match="ports line 3"):
+        parse_ports(s(f"port_id,name,country_code\nP1,One,XXA\n{line}\n"))
+
+
 def test_parse_country_econ_blank_is_missing():
     text = (
         "country_code,trade_value_usd,export_usd,import_usd,gdp_usd,lsci,"
