@@ -133,6 +133,9 @@ class Run:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         flags = vars(args)
+        if flags.get("routes_meta") and Path(args.routes).suffix == ".json":
+            raise DataError("--routes-meta applies to CSV routes only; JSON routes carry "
+                            "capacity_teu themselves")
         if "lmax" in flags:
             self.lmax = _lmax_caps(args.lmax)
         if "candidates" in flags:

@@ -248,11 +248,12 @@ def coverage_filter(
     `threshold` of their total trade value. Returns (retained, excluded reasons)."""
     if not 0 < threshold <= 1:
         raise DataError("coverage threshold must be in (0, 1]")
-    sums: dict[str, float] = {}
+    flows: dict[str, list[float]] = {}
     for rec in bilateral:
         if rec.btv_usd > 0:
             for c in (rec.country_i, rec.country_j):
-                sums[c] = sums.get(c, 0.0) + rec.btv_usd
+                flows.setdefault(c, []).append(rec.btv_usd)
+    sums = {c: math.fsum(xs) for c, xs in flows.items()}
     retained, excluded = [], {}
     for e in sorted(econ, key=lambda e: e.country_code):
         if e.trade_value_usd is None or e.trade_value_usd <= 0:

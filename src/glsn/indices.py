@@ -3,11 +3,14 @@
 Shortest paths are hop-count based throughout; edge weights only enter the
 connectivity index. A shortest path between ports of two countries is *valid*
 when its length is at most l_max and every intermediate port lies in a country
-different from both endpoint countries. The country betweenness index credits
-each country with the fraction of valid shortest paths it mediates. It runs one
-BFS per source port and sums the mediated path counts as integers per
-(distance, country, n_st), so every requested cap is an exact sum of a few
-fractions.
+different from both endpoint countries. The country betweenness index (gb)
+credits each country with the fraction of valid shortest paths it mediates;
+Freeman betweenness (fb) sums classical port betweenness per country.
+
+Both come from one BFS per source port in Brandes order. gb sums mediated
+path counts as integers per (distance, country, n_st), so every cap is an exact
+sum of a few fractions; fb runs the BFS over the whole component, while gb
+alone stops it at the largest cap.
 """
 
 from __future__ import annotations
@@ -23,56 +26,78 @@ from .model import DataError
 L_VALUES = (2, 3, 4, 5)
 
 
+def _country_totals(country_of: dict[str, str], terms) -> tuple[dict[str, float], dict[str, float]]:
+    """fsum of (country, value) terms per country, and that over the country's
+    port count. Every country in `country_of` appears."""
+    by_country: dict[str, list[float]] = {c: [] for c in set(country_of.values())}
+    for c, x in terms:
+        by_country[c].append(x)
+    sums = {c: math.fsum(xs) for c, xs in by_country.items()}
+    counts = port_counts(country_of)
+    return sums, {c: sums[c] / counts[c] for c in sums}
+
+
 def country_connectivity(g: Glsn) -> tuple[dict[str, float], dict[str, float]]:
-    """Sum of edge weights between each country's ports and foreign ports.
+    """Sum of edge weights between each country's ports and foreign ports, and
+    that sum per port. Domestic edges add nothing; every country appears."""
+    cof = g.country_of
+    return _country_totals(cof, (
+        (c, w) for (u, v), w in g.edges.items() if cof[u] != cof[v] for c in (cof[u], cof[v])
+    ))
 
-    Domestic edges contribute nothing. Normalized form divides by the
-    country's port count. Every country in the port table appears, even with
-    no foreign edges.
+
+def _bfs(
+    g: Glsn, adj: dict[str, list[str]], s: str, depth_cap: int, fb: bool
+) -> tuple[dict[str, int], dict[str, dict[frozenset, int]], dict[str, float] | None]:
+    """One BFS from s in Brandes order: (dist, profiles, dep).
+
+    profiles[t], for each t within depth_cap hops, counts the shortest s-t
+    paths by their set of intermediate-port countries; all predecessors of v
+    are popped before v, so profiles[v] is complete when v pushes it on. With
+    fb the BFS covers s's component and dep[v] is v's dependency on s, taking
+    its terms in reversed BFS order; without fb it stops at depth_cap.
     """
-    terms: dict[str, list[float]] = {c: [] for c in set(g.country_of.values())}
-    for (u, v), w in sorted(g.edges.items()):
-        cu, cv = g.country_of[u], g.country_of[v]
-        if cu != cv:
-            terms[cu].append(w)
-            terms[cv].append(w)
-    port_count = port_counts(g.country_of)
-    gc = {c: math.fsum(ts) for c, ts in terms.items()}
-    gc_norm = {c: gc[c] / port_count[c] for c in gc}
-    return gc, gc_norm
-
-
-def _shortest_path_country_profiles(
-    g: Glsn, adj: dict[str, list[str]], s: str, depth_cap: int
-) -> tuple[dict[str, int], dict[str, dict[frozenset, int]]]:
-    """BFS from s up to depth_cap; for each reached node, count shortest paths
-    grouped by the set of intermediate-port countries along the path.
-
-    One Brandes-style loop: every predecessor of v is popped before v, so
-    profiles[v] is complete when v is popped and is pushed to v's successors
-    at once. Path lengths are at most depth_cap, so at most depth_cap - 1
-    intermediate countries per path; the grouping stays small.
-    """
-    dist = {s: 0}
+    dist, sigma, preds, order = {s: 0}, {s: 1}, {s: []}, [s]
     profiles: dict[str, dict[frozenset, int]] = {s: {frozenset(): 1}}
     q = deque([s])
     while q:
         v = q.popleft()
         dv = dist[v]
-        if dv >= depth_cap:
-            continue
+        if dv >= depth_cap and not fb:
+            break
+        d1, sv = dv + 1, sigma[v]
+        profile = profiles[v] if dv < depth_cap else None
         cv = frozenset() if v == s else frozenset((g.country_of[v],))
         for w in adj[v]:
             if w not in dist:
-                dist[w] = dv + 1
-                profiles[w] = {}
+                dist[w], sigma[w] = d1, sv
+                order.append(w)
                 q.append(w)
-            if dist[w] == dv + 1:
+                if fb:
+                    preds[w] = [v]
+                if profile is None:
+                    continue
+                profiles[w] = target = {}
+            elif dist[w] == d1:
+                sigma[w] += sv
+                if fb:
+                    preds[w].append(v)
+                if profile is None:
+                    continue
                 target = profiles[w]
-                for countries, count in profiles[v].items():
-                    key = countries | cv
-                    target[key] = target.get(key, 0) + count
-    return dist, profiles
+            else:
+                continue
+            for countries, count in profile.items():
+                key = countries | cv
+                target[key] = target.get(key, 0) + count
+    if not fb:
+        return dist, profiles, None
+    dep = dict.fromkeys(order, 0.0)
+    for w in reversed(order):
+        for v in preds[w]:
+            dep[v] += sigma[v] / sigma[w] * (1.0 + dep[w])
+    del dep[s]
+    return dist, profiles, dep
 
 
 def _valid_paths(
@@ -104,28 +129,30 @@ def valid_shortest_path_profile(
     cs, ct = g.country_of[s], g.country_of[t]
     if cs == ct:
         raise DataError(f"ports {s!r} and {t!r} are in the same country {cs!r}")
-    _, profiles = _shortest_path_country_profiles(g, g.neighbors(), s, l_max)
+    _, profiles, _ = _bfs(g, g.neighbors(), s, l_max, fb=False)
     return _valid_paths(profiles.get(t, {}), {cs, ct})
 
 
-def glsn_betweenness_exact(
-    g: Glsn, l_values: tuple[int, ...] = L_VALUES
-) -> dict[int, dict[str, Fraction]]:
-    """Country betweenness for every requested path-length cap in one pass.
-
-    All shortest paths of a pair share one length, so each valid pair adds
-    its integer delta[c] to a bucket keyed by (pair distance, country, n_st).
-    The total for a cap is the exact sum of delta/n_st over the buckets within
-    it: one Fraction per bucket, never one per pair.
-    """
+def _check_caps(l_values: tuple[int, ...]) -> None:
     if not l_values or min(l_values) < 1:
         raise DataError("l_values must be positive")
-    depth_cap = max(l_values)
-    adj = g.neighbors()
+
+
+def _betweenness(
+    g: Glsn, l_values: tuple[int, ...], fb: bool
+) -> tuple[dict[int, dict[str, Fraction]], dict[str, float] | None]:
+    """Exact gb per cap in l_values and, with fb, port betweenness (else None).
+
+    A pair's shortest paths share one length, so each valid pair adds its
+    integer delta[c] to a bucket keyed by (pair distance, country, n_st); a
+    cap's total sums delta/n_st over the buckets within it, one Fraction each.
+    """
+    adj, nodes = g.neighbors(), g.nodes()
     buckets: dict[tuple[int, str, int], int] = {}
-    for s in g.nodes():
+    terms: dict[str, list[float]] = {p: [] for p in nodes}
+    for s in nodes:
         cs = g.country_of[s]
-        dist, profiles = _shortest_path_country_profiles(g, adj, s, depth_cap)
+        dist, profiles, dep = _bfs(g, adj, s, max(l_values, default=0), fb)
         for t, profile in profiles.items():
             ct = g.country_of[t]
             if t <= s or ct == cs:
@@ -134,82 +161,53 @@ def glsn_betweenness_exact(
             for c, k in delta.items():
                 key = (dist[t], c, n_st)
                 buckets[key] = buckets.get(key, 0) + k
+        for v, x in (dep or {}).items():
+            terms[v].append(x)
 
     countries = sorted(set(g.country_of.values()))
-    result: dict[int, dict[str, Fraction]] = {}
-    for l_max in l_values:
-        totals = {c: Fraction(0) for c in countries}
-        for (d, c, n_st), k in buckets.items():
+    gb = {l_max: dict.fromkeys(countries, Fraction(0)) for l_max in l_values}
+    for (d, c, n_st), k in buckets.items():
+        x = Fraction(k, n_st)
+        for l_max, totals in gb.items():
             if d <= l_max:
-                totals[c] += Fraction(k, n_st)
-        result[l_max] = totals
-    return result
+                totals[c] += x
+    # each unordered pair is seen from both endpoints
+    return gb, {p: math.fsum(ts) / 2.0 for p, ts in terms.items()} if fb else None
+
+
+def _floats(gb: dict[int, dict[str, Fraction]]) -> dict[int, dict[str, float]]:
+    return {l: {c: float(v) for c, v in per_country.items()} for l, per_country in gb.items()}
+
+
+def glsn_betweenness_exact(
+    g: Glsn, l_values: tuple[int, ...] = L_VALUES
+) -> dict[int, dict[str, Fraction]]:
+    """Country betweenness for every requested path-length cap in one pass."""
+    _check_caps(l_values)
+    return _betweenness(g, l_values, fb=False)[0]
 
 
 def glsn_betweenness_profile(
     g: Glsn, l_values: tuple[int, ...] = L_VALUES
 ) -> dict[int, dict[str, float]]:
-    return {
-        l: {c: float(v) for c, v in per_country.items()}
-        for l, per_country in glsn_betweenness_exact(g, l_values).items()
-    }
+    return _floats(glsn_betweenness_exact(g, l_values))
 
 
 def glsn_betweenness(g: Glsn, l_max: int) -> dict[str, float]:
     return glsn_betweenness_profile(g, (l_max,))[l_max]
 
 
-def _brandes_source(adj: dict[str, list[str]], s: str) -> dict[str, float]:
-    dist = {s: 0}
-    sigma = {s: 1}
-    preds: dict[str, list[str]] = {s: []}
-    order = [s]
-    q = deque([s])
-    while q:
-        v = q.popleft()
-        for w in adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                sigma[w] = 0
-                preds[w] = []
-                order.append(w)
-                q.append(w)
-            if dist[w] == dist[v] + 1:
-                sigma[w] += sigma[v]
-                preds[w].append(v)
-    dep = {v: 0.0 for v in order}
-    for w in reversed(order):
-        for v in preds[w]:
-            dep[v] += sigma[v] / sigma[w] * (1.0 + dep[w])
-    del dep[s]
-    return dep
-
-
 def port_betweenness(g: Glsn) -> dict[str, float]:
     """Classical shortest-path betweenness, endpoints excluded, unordered pairs,
     unnormalized; disconnected pairs contribute nothing."""
-    adj = g.neighbors()
-    sources = g.nodes()
-    deps = [_brandes_source(adj, s) for s in sources]
-    terms: dict[str, list[float]] = {p: [] for p in sources}
-    for dep in deps:
-        for v, x in dep.items():
-            terms[v].append(x)
-    # each unordered pair is seen from both endpoints
-    return {p: math.fsum(ts) / 2.0 for p, ts in terms.items()}
+    return _betweenness(g, (), fb=True)[1]
 
 
 def country_freeman(
     b: dict[str, float], country_of: dict[str, str]
 ) -> tuple[dict[str, float], dict[str, float]]:
     """Country sum and country mean of port betweenness."""
-    terms: dict[str, list[float]] = {c: [] for c in set(country_of.values())}
-    for p in sorted(b):
-        terms[country_of[p]].append(b[p])
-    fb = {c: math.fsum(ts) for c, ts in terms.items()}
-    counts = port_counts(country_of)
-    fb_norm = {c: fb[c] / counts[c] for c in fb}
-    return fb, fb_norm
+    return _country_totals(country_of, ((country_of[p], x) for p, x in b.items()))
 
 
 @dataclass
@@ -253,16 +251,16 @@ def build_index_table(
     lsci: dict[str, float | None] | None = None,
 ) -> CountryIndexTable:
     """Full index table: connectivity on the requested weighting, betweenness
-    on the (scheme-independent) structure."""
+    on the (scheme-independent) structure, gb and fb from one BFS per port."""
+    _check_caps(l_values)
     gc, gc_norm = country_connectivity(g_weighted)
-    gb = glsn_betweenness_profile(g_structure, l_values)
-    b = port_betweenness(g_structure)
+    gb, b = _betweenness(g_structure, l_values, fb=True)
     fb, fb_norm = country_freeman(b, g_structure.country_of)
     return CountryIndexTable(
         port_count=port_counts(g_structure.country_of),
         gc=gc,
         gc_norm=gc_norm,
-        gb=gb,
+        gb=_floats(gb),
         fb=fb,
         fb_norm=fb_norm,
         lsci=lsci or {},

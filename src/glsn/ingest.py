@@ -33,6 +33,15 @@ def _reader(stream: IO, required: list[str], what: str) -> csv.DictReader:
     return rd
 
 
+def _required(row: dict, columns: tuple[str, ...], where: str) -> list[str]:
+    """The stripped values of `columns`; a short row leaves one None."""
+    values = [row[c] for c in columns]
+    if None in values:
+        *head, last = columns
+        raise DataError(f"{where}: needs {', '.join(head) + ' and ' if head else ''}{last}")
+    return [v.strip() for v in values]
+
+
 def _opt_float(raw: str | None, what: str) -> float | None:
     if raw is None or raw.strip() == "":
         return None
@@ -65,7 +74,7 @@ def parse_routes(stream: IO, meta_stream: IO | None = None) -> list[ServiceRoute
     if meta_stream is not None:
         mrd = _reader(meta_stream, ["route_id", "capacity_teu"], "routes_meta")
         for lineno, row in enumerate(mrd, start=2):
-            rid = row["route_id"].strip()
+            (rid,) = _required(row, ("route_id",), f"routes_meta line {lineno}")
             if rid in capacities:
                 raise DataError(f"routes_meta line {lineno}: duplicate route_id {rid!r}")
             cap = _opt_float(row["capacity_teu"], f"routes_meta line {lineno} capacity_teu")
@@ -130,10 +139,9 @@ def parse_ports(stream: IO) -> list[Port]:
     ports = []
     seen = set()
     for lineno, row in enumerate(rd, start=2):
-        fields = [row[c] for c in ("port_id", "name", "country_code")]
-        if None in fields:
-            raise DataError(f"ports line {lineno}: needs port_id, name and country_code")
-        pid, name, country = (f.strip() for f in fields)
+        pid, name, country = _required(
+            row, ("port_id", "name", "country_code"), f"ports line {lineno}"
+        )
         if pid in seen:
             raise DataError(f"ports line {lineno}: duplicate port_id {pid!r}")
         seen.add(pid)
@@ -146,7 +154,7 @@ def parse_country_econ(stream: IO) -> list[CountryEcon]:
     out = []
     seen = set()
     for lineno, row in enumerate(rd, start=2):
-        code = row["country_code"].strip()
+        (code,) = _required(row, ("country_code",), f"countries line {lineno}")
         if code in seen:
             raise DataError(f"countries line {lineno}: duplicate country_code {code!r}")
         seen.add(code)
@@ -176,12 +184,13 @@ def parse_bilateral(stream: IO) -> list[BilateralRecord]:
     out = []
     seen_pairs = set()
     for lineno, row in enumerate(rd, start=2):
+        ci, cj = _required(row, ("country_i", "country_j"), f"bilateral line {lineno}")
         btv = _opt_float(row["btv_usd"], f"bilateral line {lineno} btv_usd")
         if btv is None:
             raise DataError(f"bilateral line {lineno}: btv_usd is required")
         rec = BilateralRecord(
-            country_i=row["country_i"].strip(),
-            country_j=row["country_j"].strip(),
+            country_i=ci,
+            country_j=cj,
             btv_usd=btv,
             lsbci=_opt_float(row.get("lsbci"), f"bilateral line {lineno} lsbci"),
         )

@@ -36,6 +36,8 @@ class ServiceRoute:
     def __post_init__(self):
         if self.capacity_teu is not None and self.capacity_teu < 0:
             raise DataError(f"route {self.route_id!r}: negative capacity {self.capacity_teu}")
+        if self.capacity_teu is not None and not math.isfinite(self.capacity_teu):
+            raise DataError(f"route {self.route_id!r}: non-finite capacity {self.capacity_teu}")
 
     @property
     def distinct_ports(self) -> frozenset[str]:

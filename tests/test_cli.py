@@ -225,6 +225,18 @@ class TestRunChecks:
         rows = (tmp_path / "regression_report.csv").read_text().splitlines()
         assert rows[-1] == "tv,1.0,-inf,1.0,1"
 
+    def test_routes_meta_with_json_routes_exits_1_before_any_work(self, tmp_path, capsys):
+        routes = tmp_path / "routes.json"
+        routes.write_text('[{"route_id": "R1", "ports": ["P000", "P001"]}]')
+        out = tmp_path / "out"
+        assert run(["build", "--routes", routes,
+                    "--routes-meta", FIXTURE / "routes_meta.csv",
+                    "--ports", FIXTURE / "ports.csv", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--routes-meta" in err
+        assert not out.exists()
+
 
 class TestSinglePass:
     @pytest.mark.parametrize("weighting, graphs", [("none", 1), ("cap_pairs", 2)])

@@ -239,3 +239,11 @@ class TestCoverageFilter:
             if prev is not None:
                 assert set(retained) <= set(prev)
             prev = retained
+
+    def test_coverage_does_not_depend_on_row_order(self):
+        # added in this order with +=, the two 1s are lost against 1e16
+        econ = [CountryEcon("AAA", trade_value_usd=1e16)]
+        rows = [BilateralRecord("AAA", c, v) for c, v in (("BBB", 1e16), ("CCC", 1), ("DDD", 1))]
+        for bilateral in (rows, rows[::-1]):
+            retained, _ = coverage_filter(econ, bilateral, threshold=1.0)
+            assert retained == ["AAA"]

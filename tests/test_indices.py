@@ -4,8 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import glsn.indices
 from glsn.indices import (
     L_VALUES,
+    build_index_table,
     country_connectivity,
     country_freeman,
     glsn_betweenness,
@@ -188,6 +190,42 @@ class TestGlsnBetweennessExact:
         for l in L_VALUES:
             assert glsn_betweenness_exact(g, (l,)) == {l: literal[l]}, l
         assert glsn_betweenness_exact(g, L_VALUES) == literal
+
+
+def _two_components_and_isolated(seed):
+    """Disjoint union of two random graphs plus an isolated port of its own country."""
+    a, b = random_glsn(seed, edge_prob=0.25), random_glsn(seed + 1000, edge_prob=0.25)
+    country_of = {**a.country_of, **{f"Q{p}": c for p, c in b.country_of.items()}, "Z": "C9"}
+    edges = [*a.edges, *((f"Q{u}", f"Q{v}") for u, v in b.edges)]
+    return make_glsn(country_of, edges)
+
+
+class TestSharedPass:
+    """build_index_table takes gb and fb from one BFS per port; each must
+    equal what the gb-only and fb-only callers compute."""
+
+    @pytest.mark.parametrize("caps", [L_VALUES, (1,), (3,)])
+    @pytest.mark.parametrize("seed", range(15))
+    def test_table_equals_separate_indices(self, seed, caps):
+        g = _two_components_and_isolated(seed)
+        table = build_index_table(g, g, caps)
+        assert table.gb == glsn_betweenness_profile(g, caps)
+        fb, fb_norm = country_freeman(port_betweenness(g), g.country_of)
+        assert repr(table.fb) == repr(fb)
+        assert repr(table.fb_norm) == repr(fb_norm)
+
+    def test_one_bfs_per_port(self, monkeypatch):
+        sources = []
+        bfs = glsn.indices._bfs
+
+        def counted(g, adj, s, *args, **kwargs):
+            sources.append(s)
+            return bfs(g, adj, s, *args, **kwargs)
+
+        monkeypatch.setattr(glsn.indices, "_bfs", counted)
+        g = _two_components_and_isolated(3)
+        build_index_table(g, g)
+        assert sorted(sources) == g.nodes()
 
 
 class TestPortBetweenness:

@@ -89,6 +89,33 @@ def test_parse_ports_short_row(line):
         parse_ports(s(f"port_id,name,country_code\nP1,One,XXA\n{line}\n"))
 
 
+def test_parse_country_econ_short_row():
+    with pytest.raises(DataError, match="countries line 2: needs country_code"):
+        parse_country_econ(s("gdp_usd,country_code\n5\n"))
+
+
+def test_parse_bilateral_short_row():
+    with pytest.raises(DataError, match="bilateral line 2: needs country_i and country_j"):
+        parse_bilateral(s("country_i,btv_usd,country_j\nAAA,5\n"))
+
+
+def test_parse_routes_meta_short_row():
+    with pytest.raises(DataError, match="routes_meta line 2: needs route_id"):
+        parse_routes(s(ROUTES), s("capacity_teu,route_id\n5\n"))
+
+
+@pytest.mark.parametrize("cap", ["nan", "inf"])
+def test_non_finite_capacity(cap):
+    with pytest.raises(DataError, match="non-finite capacity"):
+        parse_routes(s(ROUTES), s(f"route_id,capacity_teu\nR1,{cap}\n"))
+    with pytest.raises(DataError, match="non-finite capacity"):
+        parse_routes_json(
+            s(f'[{{"route_id": "R1", "capacity_teu": "{cap}", "ports": ["A", "B"]}}]')
+        )
+    with pytest.raises(DataError, match="non-finite capacity"):
+        ServiceRoute("R1", ("A", "B"), float(cap))
+
+
 def test_parse_country_econ_blank_is_missing():
     text = (
         "country_code,trade_value_usd,export_usd,import_usd,gdp_usd,lsci,"
