@@ -7,20 +7,20 @@ different from both endpoint countries. The country betweenness index (gb)
 credits each country with the fraction of valid shortest paths it mediates;
 Freeman betweenness (fb) sums classical port betweenness per country.
 
-Both come from one BFS per source port in Brandes order. gb sums mediated
-path counts as integers per (distance, country, n_st), so every cap is an exact
-sum of a few fractions; fb runs the BFS over the whole component, while gb
-alone stops it at the largest cap.
+Both come from one BFS per source port in Brandes order over `Glsn.int_view`,
+which numbers ports in sorted order and gives each country one bit. gb sums
+mediated path counts as integers per (distance, country bit, n_st), so every
+cap is an exact sum of a few fractions; fb runs the BFS over the whole
+component, while gb alone stops it at the largest cap.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import Glsn, port_counts
+from .graph import Glsn, IntView, port_counts
 from .model import DataError
 
 L_VALUES = (2, 3, 4, 5)
@@ -47,72 +47,69 @@ def country_connectivity(g: Glsn) -> tuple[dict[str, float], dict[str, float]]:
 
 
 def _bfs(
-    g: Glsn, adj: dict[str, list[str]], s: str, depth_cap: int, fb: bool
-) -> tuple[dict[str, int], dict[str, dict[frozenset, int]], dict[str, float] | None]:
-    """One BFS from s in Brandes order: (dist, profiles, dep).
+    view: IntView, s: int, depth_cap: int, fb: bool
+) -> tuple[list[int], dict[int, dict[int, int]], list[float] | None]:
+    """One BFS from port s of `view` in Brandes order: (dist, profiles, dep).
 
-    profiles[t], for each t within depth_cap hops, counts the shortest s-t
-    paths by their set of intermediate-port countries; all predecessors of v
-    are popped before v, so profiles[v] is complete when v pushes it on. With
-    fb the BFS covers s's component and dep[v] is v's dependency on s, taking
-    its terms in reversed BFS order; without fb it stops at depth_cap.
+    dist is -1 where not reached. profiles[t], for each t within depth_cap
+    hops, counts the shortest s-t paths by the country mask of their
+    intermediate ports; all predecessors of v are popped before v, so
+    profiles[v] is complete when v pushes it on. With fb the BFS covers s's
+    component and dep[v] is v's dependency on s (0.0 for s and unreached v),
+    taking its terms in reversed BFS order; without fb it stops at depth_cap.
     """
-    dist, sigma, preds, order = {s: 0}, {s: 1}, {s: []}, [s]
-    profiles: dict[str, dict[frozenset, int]] = {s: {frozenset(): 1}}
-    q = deque([s])
-    while q:
-        v = q.popleft()
+    adj, cbit = view.adj, view.cbit
+    dist, sigma = [-1] * len(adj), [0] * len(adj)
+    dist[s], sigma[s], order = 0, 1, [s]
+    profiles: dict[int, dict[int, int]] = {s: {0: 1}}
+    for v in order:  # the list doubles as the queue
         dv = dist[v]
         if dv >= depth_cap and not fb:
             break
         d1, sv = dv + 1, sigma[v]
         profile = profiles[v] if dv < depth_cap else None
-        cv = frozenset() if v == s else frozenset((g.country_of[v],))
+        cv = 0 if v == s else cbit[v]
         for w in adj[v]:
-            if w not in dist:
+            dw = dist[w]
+            if dw < 0:
                 dist[w], sigma[w] = d1, sv
                 order.append(w)
-                q.append(w)
-                if fb:
-                    preds[w] = [v]
-                if profile is None:
-                    continue
-                profiles[w] = target = {}
-            elif dist[w] == d1:
+                if profile is not None:
+                    profiles[w] = {}
+            elif dw == d1:
                 sigma[w] += sv
-                if fb:
-                    preds[w].append(v)
-                if profile is None:
-                    continue
-                target = profiles[w]
             else:
                 continue
-            for countries, count in profile.items():
-                key = countries | cv
-                target[key] = target.get(key, 0) + count
+            if profile is not None:
+                target = profiles[w]
+                for mask, count in profile.items():
+                    key = mask | cv
+                    target[key] = target.get(key, 0) + count
     if not fb:
         return dist, profiles, None
-    dep = dict.fromkeys(order, 0.0)
-    for w in reversed(order):
-        for v in preds[w]:
-            dep[v] += sigma[v] / sigma[w] * (1.0 + dep[w])
-    del dep[s]
+    dep = [0.0] * len(adj)
+    for w in reversed(order):  # v precedes w when one hop closer to s
+        dv, sw, xw = dist[w] - 1, sigma[w], 1.0 + dep[w]
+        for v in adj[w]:
+            if dist[v] == dv:
+                dep[v] += sigma[v] / sw * xw
+    dep[s] = 0.0
     return dist, profiles, dep
 
 
-def _valid_paths(
-    profile: dict[frozenset, int], forbidden: set[str]
-) -> tuple[int, dict[str, int]]:
+def _valid_paths(profile: dict[int, int], forbidden: int) -> tuple[int, dict[int, int]]:
     """(n_st, delta) over the shortest paths of one pair, grouped as in
-    `profile`, keeping those with no intermediate port in `forbidden`."""
+    `profile`, keeping those whose mask misses `forbidden`; delta is by bit."""
     n_st = 0
-    delta: dict[str, int] = {}
-    for countries, count in profile.items():
-        if countries & forbidden:
+    delta: dict[int, int] = {}
+    for mask, count in profile.items():
+        if mask & forbidden:
             continue
         n_st += count
-        for c in countries:
-            delta[c] = delta.get(c, 0) + count
+        while mask:
+            bit = mask & -mask
+            delta[bit] = delta.get(bit, 0) + count
+            mask ^= bit
     return n_st, delta
 
 
@@ -129,8 +126,11 @@ def valid_shortest_path_profile(
     cs, ct = g.country_of[s], g.country_of[t]
     if cs == ct:
         raise DataError(f"ports {s!r} and {t!r} are in the same country {cs!r}")
-    _, profiles, _ = _bfs(g, g.neighbors(), s, l_max, fb=False)
-    return _valid_paths(profiles.get(t, {}), {cs, ct})
+    view = g.int_view
+    i, j = view.ports.index(s), view.ports.index(t)
+    _, profiles, _ = _bfs(view, i, l_max, fb=False)
+    n_st, delta = _valid_paths(profiles.get(j, {}), view.cbit[i] | view.cbit[j])
+    return n_st, {view.countries[bit]: k for bit, k in delta.items()}
 
 
 def _check_caps(l_values: tuple[int, ...]) -> None:
@@ -144,35 +144,33 @@ def _betweenness(
     """Exact gb per cap in l_values and, with fb, port betweenness (else None).
 
     A pair's shortest paths share one length, so each valid pair adds its
-    integer delta[c] to a bucket keyed by (pair distance, country, n_st); a
+    integer delta[c] to a bucket keyed by (pair distance, country bit, n_st); a
     cap's total sums delta/n_st over the buckets within it, one Fraction each.
     """
-    adj, nodes = g.neighbors(), g.nodes()
-    buckets: dict[tuple[int, str, int], int] = {}
-    terms: dict[str, list[float]] = {p: [] for p in nodes}
-    for s in nodes:
-        cs = g.country_of[s]
-        dist, profiles, dep = _bfs(g, adj, s, max(l_values, default=0), fb)
+    view, cbit = g.int_view, g.int_view.cbit
+    buckets: dict[tuple[int, int, int], int] = {}
+    deps: list[list[float]] = []
+    for s, cs in enumerate(cbit):
+        dist, profiles, dep = _bfs(view, s, max(l_values, default=0), fb)
         for t, profile in profiles.items():
-            ct = g.country_of[t]
-            if t <= s or ct == cs:
+            if t <= s or cbit[t] == cs:
                 continue
-            n_st, delta = _valid_paths(profile, {cs, ct})
-            for c, k in delta.items():
-                key = (dist[t], c, n_st)
+            n_st, delta = _valid_paths(profile, cs | cbit[t])
+            for bit, k in delta.items():
+                key = (dist[t], bit, n_st)
                 buckets[key] = buckets.get(key, 0) + k
-        for v, x in (dep or {}).items():
-            terms[v].append(x)
+        if fb:
+            deps.append(dep)
 
-    countries = sorted(set(g.country_of.values()))
-    gb = {l_max: dict.fromkeys(countries, Fraction(0)) for l_max in l_values}
-    for (d, c, n_st), k in buckets.items():
+    gb = {l_max: dict.fromkeys(view.countries.values(), Fraction(0)) for l_max in l_values}
+    for (d, bit, n_st), k in buckets.items():
         x = Fraction(k, n_st)
         for l_max, totals in gb.items():
             if d <= l_max:
-                totals[c] += x
-    # each unordered pair is seen from both endpoints
-    return gb, {p: math.fsum(ts) / 2.0 for p, ts in terms.items()} if fb else None
+                totals[view.countries[bit]] += x
+    # each unordered pair is seen from both endpoints; fsum rounds once, so
+    # the 0.0 terms of unreached ports change nothing
+    return gb, {p: math.fsum(ts) / 2.0 for p, ts in zip(view.ports, zip(*deps))} if fb else None
 
 
 def _floats(gb: dict[int, dict[str, Fraction]]) -> dict[int, dict[str, float]]:

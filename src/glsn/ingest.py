@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from typing import IO
 
 from .model import (
@@ -79,6 +80,8 @@ def parse_routes(stream: IO, meta_stream: IO | None = None) -> list[ServiceRoute
                 raise DataError(f"routes_meta line {lineno}: duplicate route_id {rid!r}")
             cap = _opt_float(row["capacity_teu"], f"routes_meta line {lineno} capacity_teu")
             if cap is not None:
+                if not math.isfinite(cap):
+                    raise DataError(f"routes_meta line {lineno}: non-finite capacity {cap}")
                 if cap < 0:
                     raise DataError(f"routes_meta line {lineno}: negative capacity {cap}")
                 capacities[rid] = cap
@@ -128,6 +131,8 @@ def parse_routes_json(stream: IO) -> list[ServiceRoute]:
                 cap = float(cap)
             except (TypeError, ValueError):
                 raise DataError(f"routes json entry {i}: bad capacity {cap!r}") from None
+            if not math.isfinite(cap):
+                raise DataError(f"routes json entry {i}: non-finite capacity {cap}")
             if cap < 0:
                 raise DataError(f"routes json entry {i}: negative capacity")
         routes.append(ServiceRoute(route_id=rid, port_calls=tuple(ports), capacity_teu=cap))

@@ -16,6 +16,7 @@ from glsn.indices import (
     port_betweenness,
     valid_shortest_path_profile,
 )
+from glsn.graph import Glsn
 from glsn.model import DataError
 from glsn.oracle import all_shortest_paths, glsn_betweenness_oracle, port_betweenness_oracle
 
@@ -218,14 +219,93 @@ class TestSharedPass:
         sources = []
         bfs = glsn.indices._bfs
 
-        def counted(g, adj, s, *args, **kwargs):
-            sources.append(s)
-            return bfs(g, adj, s, *args, **kwargs)
+        def counted(view, s, *args, **kwargs):
+            sources.append(view.ports[s])
+            return bfs(view, s, *args, **kwargs)
 
         monkeypatch.setattr(glsn.indices, "_bfs", counted)
         g = _two_components_and_isolated(3)
         build_index_table(g, g)
         assert sorted(sources) == g.nodes()
+
+
+def _relabel(g, country, prefix=""):
+    """g with port p renamed prefix + p and country c renamed country[c],
+    ports and edges inserted in reverse sorted order."""
+    ports = sorted(g.country_of, reverse=True)
+    return Glsn(
+        scheme=g.scheme,
+        country_of={prefix + p: country[g.country_of[p]] for p in ports},
+        edges={(prefix + u, prefix + v): w for (u, v), w in sorted(g.edges.items(), reverse=True)},
+    )
+
+
+def _union(parts):
+    """Disjoint union of graphs with distinct port ids."""
+    return make_glsn(
+        {p: c for part in parts for p, c in part.country_of.items()},
+        [e for part in parts for e in part.edges],
+    )
+
+
+class TestIntView:
+    """The integer view numbers ports and countries in sorted order and keys
+    path profiles on country bitmasks; the indices must not depend on it."""
+
+    @staticmethod
+    def assert_matches_oracles(g, parts):
+        """`g` is the disjoint union of `parts`, which share no country, so
+        the oracles, run on each part, merge exactly."""
+        gb = {l: {} for l in L_VALUES}
+        b = {}
+        for part in parts:
+            for l in L_VALUES:
+                gb[l].update(glsn_betweenness_oracle(part, l))
+            b.update(port_betweenness_oracle(part))
+        table = build_index_table(g, g)
+        for l in L_VALUES:
+            assert table.gb[l] == gb[l], l
+        fb, _ = country_freeman(b, g.country_of)
+        assert table.fb == pytest.approx(fb, abs=1e-9)
+        assert port_betweenness(g) == pytest.approx(b, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_more_countries_than_bits_in_a_word(self, seed):
+        # five 16-port parts over 70 countries, interleaved in sorted order,
+        # so intermediate-country masks reach bit 69
+        codes = [f"K{j:02d}" for j in range(70)]
+        parts = []
+        for i in range(5):
+            edges = random_glsn(100 * seed + i, max_nodes=16, edge_prob=0.25).edges
+            part = make_glsn({f"P{k:02d}": f"C{k}" for k in range(16)}, list(edges))
+            own = {f"C{k}": codes[i + 5 * (k % 14)] for k in range(16)}
+            parts.append(_relabel(part, own, prefix=f"G{i}"))
+        g = _union(parts)
+        assert len(g.int_view.countries) == 70
+        self.assert_matches_oracles(g, parts)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_insertion_order_differs_from_sorted_order(self, seed):
+        g = random_glsn(seed + 200, edge_prob=0.5)
+        # the first country seen gets the last name in sorted order
+        seen = dict.fromkeys(g.country_of[p] for p in sorted(g.country_of, reverse=True))
+        g = _relabel(g, dict(zip(seen, ["ZZ", "MM", "BB", "AA"])))
+        assert list(g.country_of) != g.nodes()
+        first_seen = list(dict.fromkeys(g.country_of.values()))
+        assert first_seen != sorted(first_seen)
+        assert list(g.edges) != sorted(g.edges)
+        self.assert_matches_oracles(g, [g])
+        in_order = make_glsn(dict(sorted(g.country_of.items())), list(g.edges))
+        rows = build_index_table(in_order, in_order).csv_rows()
+        assert repr(build_index_table(g, g).csv_rows()) == repr(rows)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_isolated_port_and_two_components(self, seed):
+        parts = [make_glsn({"z": "E9"}, [])]
+        for i, x in enumerate("ab"):
+            names = {f"C{k}": f"{x}{k}" for k in range(4)}
+            parts.append(_relabel(random_glsn(seed + 500 * i, max_nodes=7), names, x))
+        self.assert_matches_oracles(_union(parts), parts)
 
 
 class TestPortBetweenness:

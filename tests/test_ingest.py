@@ -116,6 +116,18 @@ def test_non_finite_capacity(cap):
         ServiceRoute("R1", ("A", "B"), float(cap))
 
 
+@pytest.mark.parametrize("cap", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("rid", ["R1", "R9"])  # R9 is in routes_meta only
+def test_non_finite_capacity_names_its_line(rid, cap):
+    meta = f"route_id,capacity_teu\nR2,5\n{rid},{cap}\n"
+    with pytest.raises(DataError, match=f"^routes_meta line 3: non-finite capacity {cap}$"):
+        parse_routes(s(ROUTES), s(meta))
+    ok = '{"route_id": "R2", "ports": ["A", "B"]}'
+    bad = f'{{"route_id": "{rid}", "capacity_teu": "{cap}", "ports": ["A", "B"]}}'
+    with pytest.raises(DataError, match=f"^routes json entry 1: non-finite capacity {cap}$"):
+        parse_routes_json(s(f"[{ok}, {bad}]"))
+
+
 def test_parse_country_econ_blank_is_missing():
     text = (
         "country_code,trade_value_usd,export_usd,import_usd,gdp_usd,lsci,"
