@@ -289,14 +289,11 @@ def cmd_regress(run: Run) -> None:
     )
     if selection.verdict is not None:
         rep = selection.verdict.report
+        coef, ci95, p_values = rep.coefficients, rep.ci95, rep.p_values
         run.write_csv(
             "coefficients.csv",
             ["variable", "coef", "ci_lo", "ci_hi", "p_value"],
-            [
-                [name, rep.coefficients[name], rep.ci95[name][0],
-                 rep.ci95[name][1], rep.p_values[name]]
-                for name in ("intercept",) + rep.variables
-            ],
+            [[name, b, *ci95[name], p_values[name]] for name, b in coef.items()],
         )
         verdict = "+".join(selection.verdict.variables)
     else:

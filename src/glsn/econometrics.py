@@ -38,6 +38,7 @@ bit. `ols_fit` and `vif` run the same column step along a single chain.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,6 +59,9 @@ MAX_CANDIDATES = 20
 # the tie-break (fewer variables, then names) applies; the standard reading of
 # AIC differences under 2 as "no meaningful support for the larger model"
 AIC_TIE_BAND = 2.0
+# where the coefficients start in RegressionReport.packed, after r2, adjusted
+# R^2, AIC, RSS and the t critical value
+_COEF = 5
 
 
 @dataclass(frozen=True)
@@ -117,23 +121,62 @@ def standardize(design: DesignMatrix) -> DesignMatrix:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegressionReport:
+    """One least-squares fit. Its floats are packed in one array of doubles:
+    r2, adjusted R^2, AIC, RSS and the t critical value, then the coefficients
+    (intercept first), their standard errors and the VIFs (math.inf marks
+    exact collinearity). A double round-trips exactly through the array, so
+    the dicts built on access hold the fit's bits; p-values are computed only
+    when read."""
+
     variables: tuple[str, ...]
-    coefficients: dict[str, float]  # includes "intercept"
-    ci95: dict[str, tuple[float, float]]
-    p_values: dict[str, float]
-    r2: float
-    adjusted_r2: float
-    aic: float
-    vif: dict[str, float]  # math.inf marks exact collinearity
     n_obs: int
     k_params: int
-    rss: float
+    packed: array
+
+    r2 = property(lambda self: self.packed[0])
+    adjusted_r2 = property(lambda self: self.packed[1])
+    aic = property(lambda self: self.packed[2])
+    rss = property(lambda self: self.packed[3])
+
+    @property
+    def dof(self) -> int:
+        return self.n_obs - self.k_params
+
+    def _estimates(self):
+        """(name, coefficient, standard error), intercept first."""
+        k = self.k_params
+        return zip(("intercept",) + self.variables,
+                   self.packed[_COEF:_COEF + k], self.packed[_COEF + k:_COEF + 2 * k])
+
+    @property
+    def coefficients(self) -> dict[str, float]:
+        return {name: b for name, b, _ in self._estimates()}
+
+    @property
+    def ci95(self) -> dict[str, tuple[float, float]]:
+        tcrit = self.packed[4]
+        return {
+            name: (b - tcrit * se, b + tcrit * se) if se > 0 else (b, b)
+            for name, b, se in self._estimates()
+        }
+
+    @property
+    def p_values(self) -> dict[str, float]:
+        return {
+            name: _t_two_sided_p(b / se, self.dof) if se > 0 else (0.0 if b != 0 else 1.0)
+            for name, b, se in self._estimates()
+        }
+
+    @property
+    def vif(self) -> dict[str, float]:
+        return dict(zip(self.variables, self.packed[_COEF + 2 * self.k_params:]))
 
     @property
     def max_vif(self) -> float:
-        return max(self.vif.values()) if self.vif else 1.0
+        vifs = self.packed[_COEF + 2 * self.k_params:]
+        return max(vifs) if vifs else 1.0
 
 
 def aic_value(n_obs: int, rss: float, k_params: int) -> float:
@@ -204,18 +247,13 @@ def _row_sum_squares(inv: tuple[list[float], ...]) -> list[float]:
     return [_sum_squares(col[j] for col in inv[j:]) for j in range(len(inv))]
 
 
-def _vif_values(
-    names: tuple[str, ...], norms2: list[float], row_ss: list[float]
-) -> dict[str, float]:
+def _vif_values(norms2: list[float], row_ss: list[float]) -> list[float]:
     """VIF_j = ||x_j - mean_j||^2 * ||row j of R^-1||^2, inf where 1 - R^2_j
     (= 1 / VIF_j) is at most RANK_TOL."""
-    if len(names) == 1:
-        return {names[0]: 1.0}
-    out = {}
-    for name, norm2, ss in zip(names, norms2, row_ss):
-        value = norm2 * ss
-        out[name] = math.inf if 1.0 / value <= RANK_TOL else value
-    return out
+    if len(norms2) == 1:
+        return [1.0]
+    values = [norm2 * ss for norm2, ss in zip(norms2, row_ss)]
+    return [math.inf if 1.0 / v <= RANK_TOL else v for v in values]
 
 
 def _t_two_sided_p(t: float, dof: int) -> float:
@@ -383,31 +421,15 @@ class _Walk:
 
         dof = n - k_params
         sigma2 = rss / dof
-        tcrit = self.tcrit(dof)
-
-        coefficients, ci95, p_values = {}, {}, {}
-        for name, b, d in zip(("intercept",) + variables, [intercept] + slopes, diag):
-            coefficients[name] = b
-            se = math.sqrt(max(sigma2 * d, 0.0))
-            if se > 0:
-                ci95[name] = (b - tcrit * se, b + tcrit * se)
-                p_values[name] = _t_two_sided_p(b / se, dof)
-            else:
-                ci95[name] = (b, b)
-                p_values[name] = 0.0 if b != 0 else 1.0
-
+        ses = [math.sqrt(max(sigma2 * d, 0.0)) for d in diag]
+        vifs = _vif_values([self.norms2[c] for c in node.cols], row_ss)
+        fit = [r2, adjusted_r2_value(r2, n, k_vars), aic_value(n, rss, k_params), rss,
+               self.tcrit(dof)]
         return RegressionReport(
             variables=variables,
-            coefficients=coefficients,
-            ci95=ci95,
-            p_values=p_values,
-            r2=r2,
-            adjusted_r2=adjusted_r2_value(r2, n, k_vars),
-            aic=aic_value(n, rss, k_params),
-            vif=_vif_values(variables, [self.norms2[c] for c in node.cols], row_ss),
             n_obs=n,
             k_params=k_params,
-            rss=rss,
+            packed=array("d", fit + [intercept] + slopes + ses + vifs),
         )
 
 
@@ -439,7 +461,8 @@ def vif(design: DesignMatrix) -> dict[str, float]:
         node = walk.chain()
     except DataError:
         return {name: math.inf for name in design.variables}
-    return _vif_values(design.variables, walk.norms2, _row_sum_squares(node.inv))
+    row_ss = _row_sum_squares(node.inv)
+    return dict(zip(design.variables, _vif_values(walk.norms2, row_ss)))
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -461,7 +484,7 @@ def pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return r, _t_two_sided_p(t, dof)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubsetResult:
     variables: tuple[str, ...]
     report: RegressionReport

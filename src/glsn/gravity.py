@@ -200,9 +200,10 @@ def fit_gravity(
 def predict_ln_btv(
     report: RegressionReport, sample: CountryPairSample, variant: GravityVariant
 ) -> float:
-    out = report.coefficients["intercept"]
+    coef = report.coefficients
+    out = coef["intercept"]
     for name in variant.variable_names():
-        out += report.coefficients[name] * getattr(sample, name)
+        out += coef[name] * getattr(sample, name)
     return out
 
 

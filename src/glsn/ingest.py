@@ -52,6 +52,13 @@ def _opt_float(raw: str | None, what: str) -> float | None:
         raise DataError(f"{what}: not a number: {raw!r}") from None
 
 
+def _opt_finite(raw: str | None, what: str) -> float | None:
+    value = _opt_float(raw, what)
+    if value is not None and not math.isfinite(value):
+        raise DataError(f"{what}: non-finite value {raw.strip()!r}")
+    return value
+
+
 def parse_routes(stream: IO, meta_stream: IO | None = None) -> list[ServiceRoute]:
     """Parse routes.csv (route_id,seq,port_id) plus optional routes_meta.csv capacities.
 
@@ -166,7 +173,7 @@ def parse_country_econ(stream: IO) -> list[CountryEcon]:
         where = f"countries line {lineno}"
 
         def g(col: str) -> float | None:
-            return _opt_float(row.get(col), f"{where} {col}")
+            return _opt_finite(row.get(col), f"{where} {col}")
 
         out.append(
             CountryEcon(
@@ -190,14 +197,14 @@ def parse_bilateral(stream: IO) -> list[BilateralRecord]:
     seen_pairs = set()
     for lineno, row in enumerate(rd, start=2):
         ci, cj = _required(row, ("country_i", "country_j"), f"bilateral line {lineno}")
-        btv = _opt_float(row["btv_usd"], f"bilateral line {lineno} btv_usd")
+        btv = _opt_finite(row["btv_usd"], f"bilateral line {lineno} btv_usd")
         if btv is None:
             raise DataError(f"bilateral line {lineno}: btv_usd is required")
         rec = BilateralRecord(
             country_i=ci,
             country_j=cj,
             btv_usd=btv,
-            lsbci=_opt_float(row.get("lsbci"), f"bilateral line {lineno} lsbci"),
+            lsbci=_opt_finite(row.get("lsbci"), f"bilateral line {lineno} lsbci"),
         )
         if rec.pair in seen_pairs:
             raise DataError(

@@ -34,10 +34,10 @@ class ServiceRoute:
     capacity_teu: float | None = None
 
     def __post_init__(self):
-        if self.capacity_teu is not None and self.capacity_teu < 0:
-            raise DataError(f"route {self.route_id!r}: negative capacity {self.capacity_teu}")
         if self.capacity_teu is not None and not math.isfinite(self.capacity_teu):
             raise DataError(f"route {self.route_id!r}: non-finite capacity {self.capacity_teu}")
+        if self.capacity_teu is not None and self.capacity_teu < 0:
+            raise DataError(f"route {self.route_id!r}: negative capacity {self.capacity_teu}")
 
     @property
     def distinct_ports(self) -> frozenset[str]:
@@ -81,6 +81,10 @@ class BilateralRecord:
     def __post_init__(self):
         if self.country_i == self.country_j:
             raise DataError(f"bilateral record {self.country_i!r}: countries must differ")
+        if not math.isfinite(self.btv_usd):
+            raise DataError(
+                f"bilateral pair ({self.country_i}, {self.country_j}): non-finite trade value"
+            )
         if self.btv_usd < 0:
             raise DataError(
                 f"bilateral pair ({self.country_i}, {self.country_j}): negative trade value"

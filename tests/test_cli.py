@@ -200,6 +200,27 @@ class TestRunChecks:
         assert err.startswith("error: ") and needle in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, column", [("bilateral.csv", 2), ("countries.csv", 5)])
+    def test_non_finite_input_value_exits_1_before_any_work(self, tmp_path, capsys,
+                                                             name, column):
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in FIXTURE.iterdir():
+            (data / f.name).write_bytes(f.read_bytes())
+        lines = (data / name).read_text().splitlines(keepends=True)
+        fields = lines[1].split(",")
+        fields[column] = "nan"
+        lines[1] = ",".join(fields)
+        (data / name).write_text("".join(lines))
+        out = tmp_path / "out"
+        args = [str(a).replace(str(FIXTURE), str(data)) for a in REPORT_ARGS]
+        assert run(["report", *args, "--out", out]) == 1
+        err = capsys.readouterr().err
+        header = lines[0].rstrip("\n").split(",")
+        assert err.splitlines()[-1] == (
+            f"error: {name[:-4]} line 2 {header[column]}: non-finite value 'nan'")
+        assert not out.exists()
+
     def test_out_naming_a_file_exits_1(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.write_text("keep\n")

@@ -1,5 +1,7 @@
 import csv
+import gc
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from glsn import econometrics
 from glsn.econometrics import (
     DesignMatrix,
     adjusted_r2_value,
@@ -363,3 +366,70 @@ class TestBlasFreeFit:
             lo, hi = a.ci95[name]
             assert ulps_off(lo, beta[i] - half_width) <= 4.0, name
             assert ulps_off(hi, beta[i] + half_width) <= 4.0, name
+
+
+def correlated_design(k, n=60, seed=10):
+    """k candidates in correlated pairs, standardized."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(n, (k + 1) // 2))
+    x = np.column_stack([base[:, j // 2] + rng.normal(0, 0.3, n) for j in range(k)])
+    y = base @ rng.normal(size=base.shape[1]) + rng.normal(size=n)
+    return standardize(design(x, y, names=[f"x{j:02d}" for j in range(k)]))
+
+
+class TestPackedReport:
+    def test_p_values_computed_only_when_read(self, monkeypatch):
+        calls = []
+
+        def counted(t, dof, _fn=econometrics._t_two_sided_p):
+            calls.append(t)
+            return _fn(t, dof)
+
+        d = correlated_design(6)
+        expected = ols_fit(d.subset(select_model(d).verdict.variables)).p_values
+        monkeypatch.setattr(econometrics, "_t_two_sided_p", counted)
+        sel = select_model(d)
+        assert calls == []
+        rep = sel.verdict.report
+        assert rep.p_values == expected
+        assert len(calls) == rep.k_params
+
+    def test_selection_retains_under_1000_bytes_per_row(self):
+        d = correlated_design(10)
+        select_model(d)  # warm caches outside the traced region
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sel = select_model(d)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(sel.table) == 1023
+        assert retained / len(sel.table) < 1000
+
+    def test_inf_vif_and_zero_rss_survive_packing(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=20)
+        # b - a is 1e-7 of a: above the rank tolerance, inside the VIF one
+        x = np.column_stack([a, a + 1e-7 * rng.normal(size=20), rng.normal(size=20)])
+        d = design(x, a.copy(), names=["a", "b", "c"])
+        sel = select_model(d)
+        rows = {r.variables: r for r in sel.table}
+
+        exact = rows[("a",)].report
+        assert exact.rss == 0.0 and exact.aic == -math.inf and exact.r2 == 1.0
+        assert exact.coefficients == {"intercept": 0.0, "a": 1.0}
+        assert exact.ci95 == {"intercept": (0.0, 0.0), "a": (1.0, 1.0)}
+        assert exact.p_values == {"intercept": 1.0, "a": 0.0}
+        assert sel.verdict.variables == ("a",)
+
+        near = rows[("a", "b")]
+        assert near.report.vif == {"a": math.inf, "b": math.inf}
+        assert near.report.max_vif == math.inf and not near.admissible
+        assert rows[("a", "b", "c")].report.vif["a"] == math.inf
+
+        for row in sel.table:
+            assert row.report == ols_fit(d.subset(row.variables)), row.variables
+        assert vif(d) == rows[("a", "b", "c")].report.vif

@@ -11,7 +11,7 @@ from glsn.ingest import (
     parse_routes_json,
     validate_dataset,
 )
-from glsn.model import DataError, Port, ServiceRoute
+from glsn.model import BilateralRecord, DataError, Port, ServiceRoute
 
 
 def s(text: str) -> io.BytesIO:
@@ -155,6 +155,38 @@ def test_parse_bilateral_missing_lsbci():
     (rec,) = parse_bilateral(s("country_i,country_j,btv_usd,lsbci\nX,Y,100,\n"))
     assert rec.lsbci is None
     assert rec.pair == ("X", "Y")
+
+
+COUNTRY_COLUMNS = ("trade_value_usd", "export_usd", "import_usd", "gdp_usd", "lsci",
+                   "capital_lat", "capital_lon", "trade_value_change_usd")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", " NaN "])
+@pytest.mark.parametrize("column", COUNTRY_COLUMNS)
+def test_non_finite_country_value_names_line_and_column(column, value):
+    header = "country_code," + ",".join(COUNTRY_COLUMNS)
+    good = "XXA," + ",".join("1" for _ in COUNTRY_COLUMNS)
+    bad = "XXB," + ",".join(value if c == column else "1" for c in COUNTRY_COLUMNS)
+    with pytest.raises(DataError, match=f"^countries line 3 {column}: non-finite value "
+                                        f"{value.strip()!r}$"):
+        parse_country_econ(s(f"{header}\n{good}\n{bad}\n"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["btv_usd", "lsbci"])
+def test_non_finite_bilateral_value_names_line_and_column(column, value):
+    row = {"btv_usd": "100", "lsbci": "0.5", column: value}
+    text = f"country_i,country_j,btv_usd,lsbci\nX,Y,5,\nX,Z,{row['btv_usd']},{row['lsbci']}\n"
+    with pytest.raises(DataError, match=f"^bilateral line 3 {column}: non-finite value '{value}'$"):
+        parse_bilateral(s(text))
+
+
+@pytest.mark.parametrize("cap", [float("nan"), float("inf"), float("-inf")])
+def test_records_check_finiteness_before_sign(cap):
+    with pytest.raises(DataError, match=f"^route 'R1': non-finite capacity {cap}$"):
+        ServiceRoute("R1", ("A", "B"), cap)
+    with pytest.raises(DataError, match=r"^bilateral pair \(X, Y\): non-finite trade value$"):
+        BilateralRecord("X", "Y", cap)
 
 
 def _ports():
