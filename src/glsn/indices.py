@@ -7,11 +7,14 @@ different from both endpoint countries. The country betweenness index (gb)
 credits each country with the fraction of valid shortest paths it mediates;
 Freeman betweenness (fb) sums classical port betweenness per country.
 
-Both come from one BFS per source port in Brandes order over `Glsn.int_view`,
-which numbers ports in sorted order and gives each country one bit. gb sums
-mediated path counts as integers per (distance, country bit, n_st), so every
-cap is an exact sum of a few fractions; fb runs the BFS over the whole
-component, while gb alone stops it at the largest cap.
+Both come from one traversal per source port over `Glsn.int_view`, which
+numbers ports in sorted order and gives each country one bit. A forward BFS
+records the shortest-path DAG as predecessor lists; a backward sweep over
+those lists sums fb's dependencies in Brandes order and marks the targets gb
+counts, and country-mask path profiles are built only along the marked part
+of the DAG. gb sums mediated path counts as integers per (distance, n_st)
+and country, so each cap is one exact fraction per country. fb runs the BFS
+over the whole component, while gb alone stops it at the largest cap.
 """
 
 from __future__ import annotations
@@ -47,61 +50,77 @@ def country_connectivity(g: Glsn) -> tuple[dict[str, float], dict[str, float]]:
 
 
 def _bfs(
-    view: IntView, s: int, depth_cap: int, fb: bool
+    view: IntView, s: int, depth_cap: int, fb: bool, targets: range
 ) -> tuple[list[int], dict[int, dict[int, int]], list[float] | None]:
     """One BFS from port s of `view` in Brandes order: (dist, profiles, dep).
 
-    dist is -1 where not reached. profiles[t], for each t within depth_cap
-    hops, counts the shortest s-t paths by the country mask of their
-    intermediate ports; all predecessors of v are popped before v, so
-    profiles[v] is complete when v pushes it on. With fb the BFS covers s's
-    component and dep[v] is v's dependency on s (0.0 for s and unreached v),
-    taking its terms in reversed BFS order; without fb it stops at depth_cap.
+    The forward pass records dist (-1 where not reached), sigma, the BFS order
+    and each port's predecessors, over s's component with fb, else up to
+    depth_cap. The backward pass walks the predecessor lists: dep[v] is v's
+    dependency on s (0.0 for s and unreached v), its terms in reversed BFS
+    order, and it marks the counted targets (in `targets`, within depth_cap,
+    not in s's country) and their ancestors. profiles[t] counts the shortest
+    s-t paths of each counted t by the country mask of their intermediate
+    ports, none through s's country: such a path is valid for no pair from s.
     """
     adj, cbit = view.adj, view.cbit
-    dist, sigma = [-1] * len(adj), [0] * len(adj)
-    dist[s], sigma[s], order = 0, 1, [s]
-    profiles: dict[int, dict[int, int]] = {s: {0: 1}}
+    n, cs = len(adj), cbit[s]
+    dist, sigma, preds = [-1] * n, [0] * n, [None] * n
+    dist[s], sigma[s], preds[s], order = 0, 1, [], [s]
     for v in order:  # the list doubles as the queue
-        dv = dist[v]
-        if dv >= depth_cap and not fb:
+        d1 = dist[v] + 1
+        if d1 > depth_cap and not fb:
             break
-        d1, sv = dv + 1, sigma[v]
-        profile = profiles[v] if dv < depth_cap else None
-        cv = 0 if v == s else cbit[v]
+        sv = sigma[v]
         for w in adj[v]:
             dw = dist[w]
             if dw < 0:
-                dist[w], sigma[w] = d1, sv
+                dist[w], sigma[w], preds[w] = d1, sv, [v]
                 order.append(w)
-                if profile is not None:
-                    profiles[w] = {}
             elif dw == d1:
                 sigma[w] += sv
-            else:
-                continue
-            if profile is not None:
-                target = profiles[w]
-                for mask, count in profile.items():
-                    key = mask | cv
-                    target[key] = target.get(key, 0) + count
-    if not fb:
-        return dist, profiles, None
-    dep = [0.0] * len(adj)
-    for w in reversed(order):  # v precedes w when one hop closer to s
-        dv, sw, xw = dist[w] - 1, sigma[w], 1.0 + dep[w]
-        for v in adj[w]:
-            if dist[v] == dv:
+                preds[w].append(v)
+    dep, need = [0.0] * n, [0] * n  # need: bit 1 a counted target, bit 2 an ancestor
+    for w in reversed(order):
+        if fb:
+            sw, xw = sigma[w], 1.0 + dep[w]
+            for v in preds[w]:
                 dep[v] += sigma[v] / sw * xw
+        if dist[w] <= depth_cap:
+            if w in targets and cbit[w] != cs:
+                need[w] |= 1
+            if need[w]:
+                for v in preds[w]:
+                    if cbit[v] != cs:
+                        need[v] |= 2
     dep[s] = 0.0
-    return dist, profiles, dep
+    pushed = [{}] * n  # masks of the paths to v with v's bit added; {} in s's country
+    pushed[s] = {0: 1}
+    profiles: dict[int, dict[int, int]] = {}
+    for w in order:
+        if not need[w]:
+            continue
+        profile = pushed[preds[w][0]]  # shared with a lone predecessor, never written
+        if len(preds[w]) > 1:
+            profile = {}
+            for v in preds[w]:
+                for mask, count in pushed[v].items():
+                    profile[mask] = profile.get(mask, 0) + count
+        if need[w] & 1:
+            profiles[w] = profile
+        if need[w] & 2:
+            cw, target = cbit[w], {}
+            for mask, count in profile.items():  # two masks may become one
+                mask |= cw
+                target[mask] = target.get(mask, 0) + count
+            pushed[w] = target
+    return dist, profiles, dep if fb else None
 
 
-def _valid_paths(profile: dict[int, int], forbidden: int) -> tuple[int, dict[int, int]]:
-    """(n_st, delta) over the shortest paths of one pair, grouped as in
-    `profile`, keeping those whose mask misses `forbidden`; delta is by bit."""
+def _valid_paths(profile: dict[int, int], forbidden: int, delta: dict[int, int]) -> int:
+    """Add the shortest paths of one pair, grouped as in `profile`, whose mask
+    misses `forbidden` to delta by country bit, and return their number."""
     n_st = 0
-    delta: dict[int, int] = {}
     for mask, count in profile.items():
         if mask & forbidden:
             continue
@@ -110,7 +129,7 @@ def _valid_paths(profile: dict[int, int], forbidden: int) -> tuple[int, dict[int
             bit = mask & -mask
             delta[bit] = delta.get(bit, 0) + count
             mask ^= bit
-    return n_st, delta
+    return n_st
 
 
 def valid_shortest_path_profile(
@@ -123,13 +142,18 @@ def valid_shortest_path_profile(
     ports of the same country counts once. n_st = 0 when the pair is
     disconnected, farther apart than l_max, or every shortest path is invalid.
     """
+    for p in (s, t):
+        if p not in g.country_of:
+            raise DataError(f"unknown port {p!r}")
+    _check_caps((l_max,))
     cs, ct = g.country_of[s], g.country_of[t]
     if cs == ct:
         raise DataError(f"ports {s!r} and {t!r} are in the same country {cs!r}")
     view = g.int_view
     i, j = view.ports.index(s), view.ports.index(t)
-    _, profiles, _ = _bfs(view, i, l_max, fb=False)
-    n_st, delta = _valid_paths(profiles.get(j, {}), view.cbit[i] | view.cbit[j])
+    _, profiles, _ = _bfs(view, i, l_max, False, range(j, j + 1))
+    delta: dict[int, int] = {}
+    n_st = _valid_paths(profiles.get(j, {}), view.cbit[j], delta)
     return n_st, {view.countries[bit]: k for bit, k in delta.items()}
 
 
@@ -143,31 +167,38 @@ def _betweenness(
 ) -> tuple[dict[int, dict[str, Fraction]], dict[str, float] | None]:
     """Exact gb per cap in l_values and, with fb, port betweenness (else None).
 
-    A pair's shortest paths share one length, so each valid pair adds its
-    integer delta[c] to a bucket keyed by (pair distance, country bit, n_st); a
-    cap's total sums delta/n_st over the buckets within it, one Fraction each.
+    A pair's shortest paths share one length, so each pair s < t, counted
+    from s, adds its integer delta[c] to a counter per country bit under the
+    key (pair distance, n_st). A cap's total sums delta/n_st exactly over the
+    keys within it, as integers over the lcm of all n_st: one Fraction per
+    country and cap.
     """
     view, cbit = g.int_view, g.int_view.cbit
-    buckets: dict[tuple[int, int, int], int] = {}
+    buckets: dict[tuple[int, int], dict[int, int]] = {}
     deps: list[list[float]] = []
-    for s, cs in enumerate(cbit):
-        dist, profiles, dep = _bfs(view, s, max(l_values, default=0), fb)
+    for s in range(len(cbit)):
+        dist, profiles, dep = _bfs(view, s, max(l_values, default=0), fb, range(s + 1, len(cbit)))
         for t, profile in profiles.items():
-            if t <= s or cbit[t] == cs:
-                continue
-            n_st, delta = _valid_paths(profile, cs | cbit[t])
-            for bit, k in delta.items():
-                key = (dist[t], bit, n_st)
-                buckets[key] = buckets.get(key, 0) + k
+            # n_st first, as it keys the counter; a path through t's country
+            # is not valid for (s, t)
+            ct, n_st = cbit[t], 0
+            for mask, k in profile.items():
+                if not mask & ct:
+                    n_st += k
+            if n_st:
+                _valid_paths(profile, ct, buckets.setdefault((dist[t], n_st), {}))
         if fb:
             deps.append(dep)
 
-    gb = {l_max: dict.fromkeys(view.countries.values(), Fraction(0)) for l_max in l_values}
-    for (d, bit, n_st), k in buckets.items():
-        x = Fraction(k, n_st)
-        for l_max, totals in gb.items():
-            if d <= l_max:
-                totals[view.countries[bit]] += x
+    lcm = math.lcm(*(n_st for _, n_st in buckets))
+    num = {l_max: dict.fromkeys(view.countries, 0) for l_max in l_values}
+    for (d, n_st), counter in buckets.items():
+        for bit, k in counter.items():
+            for l_max, totals in num.items():
+                if d <= l_max:
+                    totals[bit] += k * (lcm // n_st)
+    gb = {l_max: {view.countries[bit]: Fraction(x, lcm) for bit, x in totals.items()}
+          for l_max, totals in num.items()}
     # each unordered pair is seen from both endpoints; fsum rounds once, so
     # the 0.0 terms of unreached ports change nothing
     return gb, {p: math.fsum(ts) / 2.0 for p, ts in zip(view.ports, zip(*deps))} if fb else None

@@ -6,7 +6,8 @@ import csv
 import io
 import json
 import math
-from typing import IO
+from contextlib import contextmanager
+from typing import IO, Iterator
 
 from .model import (
     BilateralRecord,
@@ -18,20 +19,30 @@ from .model import (
 )
 
 
-def _text(stream: IO) -> io.TextIOWrapper | IO:
-    if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)):
-        return io.TextIOWrapper(stream, encoding="utf-8")
-    return stream
+@contextmanager
+def _text(stream: IO) -> Iterator[IO]:
+    """`stream` as text. A binary stream is read through a UTF-8 wrapper that
+    is detached on exit, leaving the stream open: its caller owns it."""
+    if not isinstance(stream, (io.RawIOBase, io.BufferedIOBase)):
+        yield stream
+        return
+    text = io.TextIOWrapper(stream, encoding="utf-8")
+    try:
+        yield text
+    finally:
+        text.detach()
 
 
-def _reader(stream: IO, required: list[str], what: str) -> csv.DictReader:
-    rd = csv.DictReader(_text(stream))
-    if rd.fieldnames is None:
-        raise DataError(f"{what}: empty file, header row required")
-    missing = [c for c in required if c not in rd.fieldnames]
-    if missing:
-        raise DataError(f"{what}: missing columns {missing}")
-    return rd
+@contextmanager
+def _reader(stream: IO, required: list[str], what: str) -> Iterator[csv.DictReader]:
+    with _text(stream) as text:
+        rd = csv.DictReader(text)
+        if rd.fieldnames is None:
+            raise DataError(f"{what}: empty file, header row required")
+        missing = [c for c in required if c not in rd.fieldnames]
+        if missing:
+            raise DataError(f"{what}: missing columns {missing}")
+        yield rd
 
 
 def _required(row: dict, columns: tuple[str, ...], where: str) -> list[str]:
@@ -65,33 +76,33 @@ def parse_routes(stream: IO, meta_stream: IO | None = None) -> list[ServiceRoute
     Port calls are kept in seq order, repeats included; deduplication happens
     at graph construction.
     """
-    rd = _reader(stream, ["route_id", "seq", "port_id"], "routes")
     calls: dict[str, list[tuple[int, str]]] = {}
-    for lineno, row in enumerate(rd, start=2):
-        rid = (row["route_id"] or "").strip()
-        pid = (row["port_id"] or "").strip()
-        if not rid or not pid:
-            raise DataError(f"routes line {lineno}: blank route_id or port_id")
-        try:
-            seq = int(row["seq"])
-        except (TypeError, ValueError):
-            raise DataError(f"routes line {lineno}: bad seq {row['seq']!r}") from None
-        calls.setdefault(rid, []).append((seq, pid))
+    with _reader(stream, ["route_id", "seq", "port_id"], "routes") as rd:
+        for lineno, row in enumerate(rd, start=2):
+            rid = (row["route_id"] or "").strip()
+            pid = (row["port_id"] or "").strip()
+            if not rid or not pid:
+                raise DataError(f"routes line {lineno}: blank route_id or port_id")
+            try:
+                seq = int(row["seq"])
+            except (TypeError, ValueError):
+                raise DataError(f"routes line {lineno}: bad seq {row['seq']!r}") from None
+            calls.setdefault(rid, []).append((seq, pid))
 
     capacities: dict[str, float] = {}
     if meta_stream is not None:
-        mrd = _reader(meta_stream, ["route_id", "capacity_teu"], "routes_meta")
-        for lineno, row in enumerate(mrd, start=2):
-            (rid,) = _required(row, ("route_id",), f"routes_meta line {lineno}")
-            if rid in capacities:
-                raise DataError(f"routes_meta line {lineno}: duplicate route_id {rid!r}")
-            cap = _opt_float(row["capacity_teu"], f"routes_meta line {lineno} capacity_teu")
-            if cap is not None:
-                if not math.isfinite(cap):
-                    raise DataError(f"routes_meta line {lineno}: non-finite capacity {cap}")
-                if cap < 0:
-                    raise DataError(f"routes_meta line {lineno}: negative capacity {cap}")
-                capacities[rid] = cap
+        with _reader(meta_stream, ["route_id", "capacity_teu"], "routes_meta") as mrd:
+            for lineno, row in enumerate(mrd, start=2):
+                (rid,) = _required(row, ("route_id",), f"routes_meta line {lineno}")
+                if rid in capacities:
+                    raise DataError(f"routes_meta line {lineno}: duplicate route_id {rid!r}")
+                cap = _opt_float(row["capacity_teu"], f"routes_meta line {lineno} capacity_teu")
+                if cap is not None:
+                    if not math.isfinite(cap):
+                        raise DataError(f"routes_meta line {lineno}: non-finite capacity {cap}")
+                    if cap < 0:
+                        raise DataError(f"routes_meta line {lineno}: negative capacity {cap}")
+                    capacities[rid] = cap
 
     routes = []
     for rid in sorted(calls):
@@ -112,7 +123,8 @@ def parse_routes(stream: IO, meta_stream: IO | None = None) -> list[ServiceRoute
 def parse_routes_json(stream: IO) -> list[ServiceRoute]:
     """JSON alternative: array of {route_id, capacity_teu, ports: [...]}."""
     try:
-        data = json.load(_text(stream))
+        with _text(stream) as text:
+            data = json.load(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"routes json: malformed ({exc})") from None
     if not isinstance(data, list):
@@ -147,71 +159,71 @@ def parse_routes_json(stream: IO) -> list[ServiceRoute]:
 
 
 def parse_ports(stream: IO) -> list[Port]:
-    rd = _reader(stream, ["port_id", "name", "country_code"], "ports")
     ports = []
     seen = set()
-    for lineno, row in enumerate(rd, start=2):
-        pid, name, country = _required(
-            row, ("port_id", "name", "country_code"), f"ports line {lineno}"
-        )
-        if pid in seen:
-            raise DataError(f"ports line {lineno}: duplicate port_id {pid!r}")
-        seen.add(pid)
-        ports.append(Port(pid, name, country))
+    with _reader(stream, ["port_id", "name", "country_code"], "ports") as rd:
+        for lineno, row in enumerate(rd, start=2):
+            pid, name, country = _required(
+                row, ("port_id", "name", "country_code"), f"ports line {lineno}"
+            )
+            if pid in seen:
+                raise DataError(f"ports line {lineno}: duplicate port_id {pid!r}")
+            seen.add(pid)
+            ports.append(Port(pid, name, country))
     return ports
 
 
 def parse_country_econ(stream: IO) -> list[CountryEcon]:
-    rd = _reader(stream, ["country_code"], "countries")
     out = []
     seen = set()
-    for lineno, row in enumerate(rd, start=2):
-        (code,) = _required(row, ("country_code",), f"countries line {lineno}")
-        if code in seen:
-            raise DataError(f"countries line {lineno}: duplicate country_code {code!r}")
-        seen.add(code)
-        where = f"countries line {lineno}"
+    with _reader(stream, ["country_code"], "countries") as rd:
+        for lineno, row in enumerate(rd, start=2):
+            (code,) = _required(row, ("country_code",), f"countries line {lineno}")
+            if code in seen:
+                raise DataError(f"countries line {lineno}: duplicate country_code {code!r}")
+            seen.add(code)
+            where = f"countries line {lineno}"
 
-        def g(col: str) -> float | None:
-            return _opt_finite(row.get(col), f"{where} {col}")
+            def g(col: str) -> float | None:
+                return _opt_finite(row.get(col), f"{where} {col}")
 
-        out.append(
-            CountryEcon(
-                country_code=code,
-                trade_value_usd=g("trade_value_usd"),
-                export_usd=g("export_usd"),
-                import_usd=g("import_usd"),
-                gdp_usd=g("gdp_usd"),
-                lsci=g("lsci"),
-                capital_lat=g("capital_lat"),
-                capital_lon=g("capital_lon"),
-                trade_value_change_usd=g("trade_value_change_usd"),
+            out.append(
+                CountryEcon(
+                    country_code=code,
+                    trade_value_usd=g("trade_value_usd"),
+                    export_usd=g("export_usd"),
+                    import_usd=g("import_usd"),
+                    gdp_usd=g("gdp_usd"),
+                    lsci=g("lsci"),
+                    capital_lat=g("capital_lat"),
+                    capital_lon=g("capital_lon"),
+                    trade_value_change_usd=g("trade_value_change_usd"),
+                )
             )
-        )
     return out
 
 
 def parse_bilateral(stream: IO) -> list[BilateralRecord]:
-    rd = _reader(stream, ["country_i", "country_j", "btv_usd"], "bilateral")
     out = []
     seen_pairs = set()
-    for lineno, row in enumerate(rd, start=2):
-        ci, cj = _required(row, ("country_i", "country_j"), f"bilateral line {lineno}")
-        btv = _opt_finite(row["btv_usd"], f"bilateral line {lineno} btv_usd")
-        if btv is None:
-            raise DataError(f"bilateral line {lineno}: btv_usd is required")
-        rec = BilateralRecord(
-            country_i=ci,
-            country_j=cj,
-            btv_usd=btv,
-            lsbci=_opt_finite(row.get("lsbci"), f"bilateral line {lineno} lsbci"),
-        )
-        if rec.pair in seen_pairs:
-            raise DataError(
-                f"bilateral line {lineno}: duplicate unordered pair {rec.pair}"
+    with _reader(stream, ["country_i", "country_j", "btv_usd"], "bilateral") as rd:
+        for lineno, row in enumerate(rd, start=2):
+            ci, cj = _required(row, ("country_i", "country_j"), f"bilateral line {lineno}")
+            btv = _opt_finite(row["btv_usd"], f"bilateral line {lineno} btv_usd")
+            if btv is None:
+                raise DataError(f"bilateral line {lineno}: btv_usd is required")
+            rec = BilateralRecord(
+                country_i=ci,
+                country_j=cj,
+                btv_usd=btv,
+                lsbci=_opt_finite(row.get("lsbci"), f"bilateral line {lineno} lsbci"),
             )
-        seen_pairs.add(rec.pair)
-        out.append(rec)
+            if rec.pair in seen_pairs:
+                raise DataError(
+                    f"bilateral line {lineno}: duplicate unordered pair {rec.pair}"
+                )
+            seen_pairs.add(rec.pair)
+            out.append(rec)
     return out
 
 

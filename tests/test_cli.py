@@ -1,7 +1,9 @@
 import filecmp
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glsn.cli import main
 from glsn.indices import country_connectivity, glsn_betweenness
@@ -158,6 +160,32 @@ class TestReportDeterminism:
             tmp_path, GOLDEN, golden_files, shallow=False
         )
         assert mismatch == [] and errors == []
+
+
+def _without_input_hashes(path):
+    return [l for l in path.read_bytes().splitlines() if not l.startswith(b"# input ")]
+
+
+class TestRowOrder:
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_report_ignores_row_order(self, data):
+        # ports, countries, bilateral pairs and route capacities are keyed
+        # rows, so their order is no input: only the input hashes may change
+        with tempfile.TemporaryDirectory() as tmp:
+            inputs, out = Path(tmp) / "in", Path(tmp) / "out"
+            inputs.mkdir()
+            for name in ("ports.csv", "countries.csv", "bilateral.csv", "routes_meta.csv"):
+                head, *rows = (FIXTURE / name).read_text().splitlines(keepends=True)
+                rows = data.draw(st.permutations(rows), label=name)
+                (inputs / name).write_text(head + "".join(rows))
+            (inputs / "routes.csv").write_bytes((FIXTURE / "routes.csv").read_bytes())
+            args = [str(a).replace(str(FIXTURE), str(inputs)) for a in REPORT_ARGS]
+            assert run(["report", *args, "--out", out]) == 0
+            golden = sorted(p.name for p in GOLDEN.iterdir())
+            assert sorted(p.name for p in out.iterdir()) == golden
+            for name in golden:
+                assert _without_input_hashes(out / name) == _without_input_hashes(GOLDEN / name)
 
 
 class TestRunChecks:

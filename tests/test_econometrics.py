@@ -298,7 +298,8 @@ GOLDEN_SCATTER = Path(__file__).parent / "data" / "golden_report" / "scatter.csv
 
 
 def golden_scatter_design() -> DesignMatrix:
-    rows = [r for r in csv.reader(GOLDEN_SCATTER.open()) if not r[0].startswith("#")]
+    with GOLDEN_SCATTER.open() as f:
+        rows = [r for r in csv.reader(f) if not r[0].startswith("#")]
     head, data = rows[0], rows[1:]
     x = np.array([[float(v) for v in r[1:-1]] for r in data])
     y = np.array([float(r[-1]) for r in data])

@@ -101,6 +101,16 @@ class TestValidShortestPathProfile:
         g = make_glsn({"s": "X", "t": "Y"}, [])
         assert valid_shortest_path_profile(g, "s", "t", 5) == (0, {})
 
+    @pytest.mark.parametrize("s, t", [("s", "nowhere"), ("nowhere", "t")])
+    def test_unknown_port_error_names_it(self, chain_graph, s, t):
+        with pytest.raises(DataError, match="unknown port 'nowhere'"):
+            valid_shortest_path_profile(chain_graph, s, t, 2)
+
+    @pytest.mark.parametrize("l_max", [0, -1])
+    def test_non_positive_cap_error(self, chain_graph, l_max):
+        with pytest.raises(DataError, match="l_values must be positive"):
+            valid_shortest_path_profile(chain_graph, "s", "t", l_max)
+
     def test_two_intermediates_same_foreign_country_count_once(self):
         g = make_glsn(
             {"s": "X", "a": "Z", "b": "Z", "t": "Y"},
@@ -390,3 +400,154 @@ class TestEndpointCountryInvariant:
             slow = glsn_betweenness_oracle(g, 5)
             for c in slow:
                 assert gb[c] == pytest.approx(slow[c], abs=1e-9)
+
+
+def _reference_bfs(view, s, depth_cap, fb):
+    """The single-loop traversal the indices were first computed with: every
+    profile is pushed along every shortest-path edge within depth_cap, and
+    the backward sweep reads every adjacency entry again."""
+    adj, cbit = view.adj, view.cbit
+    dist, sigma = [-1] * len(adj), [0] * len(adj)
+    dist[s], sigma[s], order = 0, 1, [s]
+    profiles = {s: {0: 1}}
+    for v in order:
+        dv = dist[v]
+        if dv >= depth_cap and not fb:
+            break
+        d1, sv = dv + 1, sigma[v]
+        profile = profiles[v] if dv < depth_cap else None
+        cv = 0 if v == s else cbit[v]
+        for w in adj[v]:
+            dw = dist[w]
+            if dw < 0:
+                dist[w], sigma[w] = d1, sv
+                order.append(w)
+                if profile is not None:
+                    profiles[w] = {}
+            elif dw == d1:
+                sigma[w] += sv
+            else:
+                continue
+            if profile is not None:
+                target = profiles[w]
+                for mask, count in profile.items():
+                    key = mask | cv
+                    target[key] = target.get(key, 0) + count
+    if not fb:
+        return dist, profiles, None
+    dep = [0.0] * len(adj)
+    for w in reversed(order):
+        dv, sw, xw = dist[w] - 1, sigma[w], 1.0 + dep[w]
+        for v in adj[w]:
+            if dist[v] == dv:
+                dep[v] += sigma[v] / sw * xw
+    dep[s] = 0.0
+    return dist, profiles, dep
+
+
+def _reference_valid_paths(profile, forbidden):
+    n_st, delta = 0, {}
+    for mask, count in profile.items():
+        if mask & forbidden:
+            continue
+        n_st += count
+        while mask:
+            bit = mask & -mask
+            delta[bit] = delta.get(bit, 0) + count
+            mask ^= bit
+    return n_st, delta
+
+
+def _reference_betweenness(g, l_values):
+    """(exact gb per cap, port betweenness) as first computed: one Fraction
+    per (distance, country bit, n_st) bucket, every pair s < t from s."""
+    view, cbit = g.int_view, g.int_view.cbit
+    buckets, deps = {}, []
+    for s, cs in enumerate(cbit):
+        dist, profiles, dep = _reference_bfs(view, s, max(l_values), True)
+        for t, profile in profiles.items():
+            if t <= s or cbit[t] == cs:
+                continue
+            n_st, delta = _reference_valid_paths(profile, cs | cbit[t])
+            for bit, k in delta.items():
+                key = (dist[t], bit, n_st)
+                buckets[key] = buckets.get(key, 0) + k
+        deps.append(dep)
+    gb = {l_max: dict.fromkeys(view.countries.values(), Fraction(0)) for l_max in l_values}
+    for (d, bit, n_st), k in buckets.items():
+        for l_max, totals in gb.items():
+            if d <= l_max:
+                totals[view.countries[bit]] += Fraction(k, n_st)
+    return gb, {p: math.fsum(ts) / 2.0 for p, ts in zip(view.ports, zip(*deps))}
+
+
+def _route_graph(seed, n, k):
+    """Seeded graph of n ports over min(n, k) countries: route cliques of 2-5
+    ports within each of two components, plus at least one isolated port."""
+    rng = np.random.default_rng(seed)
+    codes = rng.permutation(np.arange(n) % k)  # every country has a port
+    country_of = {f"P{i:03d}": f"K{c:02d}" for i, c in enumerate(codes)}
+    names = sorted(country_of)
+    edges = []
+    for part in (names[: n // 2], names[n // 2: -1]):
+        for _ in range(len(part) // 2):
+            route = sorted(rng.choice(part, size=min(len(part), int(rng.integers(2, 6))),
+                                      replace=False))
+            edges += [(u, v) for i, u in enumerate(route) for v in route[i + 1:]]
+    return make_glsn(country_of, edges)
+
+
+def assert_matches_reference(g, caps):
+    """gb ==, and fb, fb_norm and port betweenness repr-identical, to the
+    reference on caps."""
+    gb, b = _reference_betweenness(g, caps)
+    assert glsn_betweenness_exact(g, caps) == gb
+    table = build_index_table(g, g, caps)
+    assert table.gb == {l: {c: float(x) for c, x in per.items()} for l, per in gb.items()}
+    fb, fb_norm = country_freeman(b, g.country_of)
+    assert repr(table.fb) == repr(fb)
+    assert repr(table.fb_norm) == repr(fb_norm)
+    assert repr(port_betweenness(g)) == repr(b)
+
+
+class TestAgainstReference:
+    """The three-pass traversal gives the bits of the single-loop one."""
+
+    @pytest.mark.parametrize("caps", [(1,), (2,), (3,), (2, 4), L_VALUES])
+    @pytest.mark.parametrize("seed, n, k", [
+        (0, 20, 2), (1, 45, 30), (2, 80, 12), (3, 150, 40), (4, 120, 70), (5, 100, 5),
+    ])
+    def test_random_route_graphs(self, seed, n, k, caps):
+        assert_matches_reference(_route_graph(seed, n, k), caps)
+
+    def test_all_paths_through_source_country(self):
+        # a-c runs only through b, a port of a's country: n_st is 0 for (a, c)
+        g = make_glsn({"a": "X", "b": "X", "c": "Y", "d": "Z"},
+                      [("a", "b"), ("b", "c"), ("c", "d")])
+        assert valid_shortest_path_profile(g, "a", "c", 2) == (0, {})
+        assert valid_shortest_path_profile(g, "c", "a", 2) == (0, {})
+        assert glsn_betweenness_exact(g) == {l: _literal_gb(g, l) for l in L_VALUES}
+        assert_matches_reference(g, L_VALUES)
+
+    def test_source_country_port_on_the_way_to_some_targets_only(self):
+        # from a, m (a's country) lies on a shortest path to t1 but not to t2
+        g = make_glsn(
+            {"a": "X", "m": "X", "z": "Z", "t1": "Y", "t2": "W"},
+            [("a", "m"), ("a", "z"), ("m", "t1"), ("z", "t1"), ("z", "t2")],
+        )
+        assert valid_shortest_path_profile(g, "a", "t1", 2) == (1, {"Z": 1})
+        assert valid_shortest_path_profile(g, "a", "t2", 2) == (1, {"Z": 1})
+        assert glsn_betweenness_exact(g) == {l: _literal_gb(g, l) for l in L_VALUES}
+        assert_matches_reference(g, L_VALUES)
+
+    def test_country_bit_merges_two_masks(self):
+        # the paths to w carry masks {W} and {W, Z}; adding w's bit Z makes
+        # them one mask, whose counts must add up
+        g = make_glsn(
+            {"a": "X", "p": "W", "q": "Z", "r": "W", "u": "W", "w": "Z", "t": "Y"},
+            [("a", "p"), ("p", "q"), ("q", "w"), ("a", "r"), ("r", "u"), ("u", "w"),
+             ("w", "t")],
+        )
+        assert valid_shortest_path_profile(g, "a", "t", 4) == (2, {"W": 2, "Z": 2})
+        assert glsn_betweenness_exact(g) == {l: _literal_gb(g, l) for l in L_VALUES}
+        assert_matches_reference(g, L_VALUES)
