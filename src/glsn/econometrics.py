@@ -33,6 +33,16 @@ needs only columns 0..m of R, so it too is computed once per node. Every float
 of a subset's fit therefore comes from the same operations, in the same order,
 as a fit of that subset alone: the walk's table equals per-subset fits bit for
 bit. `ols_fit` and `vif` run the same column step along a single chain.
+
+The t critical value and the p-values come from Student's t for integer
+degrees of freedom, computed in `decimal` at 40 digits with only + - * / and
+sqrt, which the decimal specification rounds correctly on every platform, and
+rounded to a double once. The two-sided tail is the
+regularized incomplete beta I_x(nu/2, 1/2), x = nu/(nu+t^2): its power series
+on the symmetric side for |t| <= 6, its continued fraction beyond, and
+B(nu/2, 1/2) from exact integers and a fixed digit string of pi. The 0.975
+quantile solves the tail by Halley's method. Both give the correctly rounded
+double at every point the tests check against mpmath at 50 digits.
 """
 
 from __future__ import annotations
@@ -40,10 +50,10 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .model import DataError
 
@@ -62,6 +72,27 @@ AIC_TIE_BAND = 2.0
 # where the coefficients start in RegressionReport.packed, after r2, adjusted
 # R^2, AIC, RSS and the t critical value
 _COEF = 5
+
+# Student's t runs in decimal arithmetic at 40 digits; the exponent range is
+# the widest, so no tail underflows before its final rounding to a double.
+_T_CONTEXT = Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_T_EPS = Decimal("1e-37")  # where a series or continued fraction stops
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+# t^2 up to which the two-sided tail is 1 - I_y(1/2, nu/2) by its power series
+# (|t| <= 6): there the tail is at least 2e-9, so the subtraction keeps 30
+# digits, and the series is several times cheaper than the continued fraction
+# near its switch point
+_T_SERIES_MAX_T2 = 36
+# Cornish-Fisher terms g_k(z) of the t quantile, t = z + sum g_k(z) / nu^k,
+# at the normal 0.975 quantile z (Abramowitz & Stegun 26.7.5)
+_Z975 = 1.959963984540054
+_CORNISH_FISHER = (
+    (_Z975**2 + 1) * _Z975 / 4,
+    ((5 * _Z975**2 + 16) * _Z975**2 + 3) * _Z975 / 96,
+    (((3 * _Z975**2 + 19) * _Z975**2 + 17) * _Z975**2 - 15) * _Z975 / 384,
+    ((((79 * _Z975**2 + 776) * _Z975**2 + 1482) * _Z975**2 - 1920) * _Z975**2 - 945)
+    * _Z975 / 92160,
+)
 
 
 @dataclass(frozen=True)
@@ -256,10 +287,128 @@ def _vif_values(norms2: list[float], row_ss: list[float]) -> list[float]:
     return [math.inf if 1.0 / v <= RANK_TOL else v for v in values]
 
 
+def _t_norm(nu: int) -> Decimal:
+    """sqrt(nu) B(nu/2, 1/2), the t density's normalizing constant, from exact
+    integers: B(m, 1/2) = 4^m / (m C(2m, m)), B(m + 1/2, 1/2) = pi C(2m, m) / 4^m."""
+    m, odd = divmod(nu, 2)
+    c = math.comb(2 * m, m)
+    beta = _PI * c / 4**m if odd else Decimal(4**m) / (m * c)
+    return Decimal(nu).sqrt() * beta
+
+
+def _beta_series(nu: int, y, eps):
+    """sum_n (a+b)_n / (a+1)_n y^n for a = 1/2, b = nu/2: I_y(a, b) over
+    y^a (1-y)^b / (a B(a, b)) (A&S 26.5.4). Every term is positive; y <= 1/2."""
+    total = term = 1
+    n = 0
+    while True:
+        term = term * y * (nu + 1 + 2 * n) / (3 + 2 * n)
+        n += 1
+        total += term
+        # the term ratio falls towards y; from 3/4 on, the rest is below 3 terms
+        if term <= eps and 4 * (nu + 1 + 2 * n) * y <= 9 + 6 * n:
+            return total
+
+
+def _beta_cf(nu: int, x, eps):
+    """The continued fraction of I_x(a, b) over x^a (1-x)^b / (a B(a, b)) for
+    a = nu/2, b = 1/2 (A&S 26.5.8), by the modified Lentz method; it converges
+    fast for x < (a+1)/(a+b+2)."""
+    c = 1
+    d = 1 / (1 - (nu + 1) * x / (nu + 2))
+    h = d
+    m = 0
+    while True:
+        m += 1
+        aa = 2 * m * (1 - 2 * m) * x / ((nu + 4 * m - 2) * (nu + 4 * m))
+        d = 1 / (1 + aa * d)
+        c = 1 + aa / c
+        h *= d * c
+        aa = -(nu + 2 * m) * (nu + 1 + 2 * m) * x / ((nu + 4 * m) * (nu + 4 * m + 2))
+        d = 1 / (1 + aa * d)
+        c = 1 + aa / c
+        delta = d * c
+        h *= delta
+        if abs(delta - 1) <= eps:
+            return h
+
+
+def _t_tail(t, nu: int, density, eps):
+    """2 P(T > t) for t >= 0 and nu degrees of freedom, given the density at
+    t, in the arithmetic of t: floats, or decimals in the current context.
+
+    The tail is I_x(nu/2, 1/2) with x = nu/(nu+t^2) and 1-x = t^2/(nu+t^2),
+    and x^(nu/2) (1-x)^(1/2) / B(nu/2, 1/2) is t times the density. For t^2
+    up to min(nu, _T_SERIES_MAX_T2) it is 1 - I_{1-x}(1/2, nu/2), else x is
+    below the continued fraction's switch point (nu+2)/(nu+5)."""
+    t2 = t * t
+    front = 2 * t * density
+    if t2 <= min(nu, _T_SERIES_MAX_T2):
+        return 1 - front * _beta_series(nu, t2 / (nu + t2), eps)
+    return front * _beta_cf(nu, nu / (nu + t2), eps) / nu
+
+
+def _t_density(t: Decimal, nu: int, norm: Decimal) -> Decimal:
+    """x^((nu+1)/2) / norm with x = nu/(nu+t^2) = 1/(1 + t^2/nu), norm =
+    _t_norm(nu): the integer power by repeated squaring, then a square root
+    where nu is even. Each product rounds once, so the power's relative error
+    stays below about nu ulps of the 40 digits."""
+    x = nu / (nu + t * t)
+    k, half = divmod(nu + 1, 2)
+    power = x.sqrt() if half else Decimal(1)
+    while k:
+        if k & 1:
+            power *= x
+        k >>= 1
+        if k:
+            x *= x
+    return power / norm
+
+
 def _t_two_sided_p(t: float, dof: int) -> float:
-    """2 P(T > |t|) for Student's t; special.stdtr is what stats.t.sf calls,
-    without the per-call frontend."""
-    return float(2 * special.stdtr(dof, -abs(t)))
+    """2 P(T > |t|) for Student's t with dof degrees of freedom, computed to 30
+    or more digits in decimal arithmetic and rounded to a double once."""
+    if math.isnan(t):
+        return math.nan
+    if math.isinf(t):
+        return 0.0
+    with localcontext(_T_CONTEXT):
+        t = abs(Decimal(t))
+        return float(_t_tail(t, dof, _t_density(t, dof, _t_norm(dof)), _T_EPS))
+
+
+def _halley_step(t, nu: int, excess, density):
+    """Halley's step towards the root of tail(t) - target, from excess =
+    tail(t) - target: the tail's derivative is -2 density(t), its second
+    2 density(t) (nu+1) t / (nu+t^2)."""
+    newton = excess / (2 * density)
+    return newton / (1 - newton * (nu + 1) * t / (2 * (nu + t * t)))
+
+
+def _t_quantile_975(dof: int) -> float:
+    """The quantile of Student's t at the double 0.975, by Halley's method
+    (Newton's with the second derivative) on the two-sided tail: from a
+    Cornish-Fisher estimate in floats to a double's accuracy, then in
+    decimal arithmetic. For t > 0 the tail is convex and the steps converge
+    cubically: once a step is below 1e-12 t, what is left is about its cube."""
+    t = _Z975 + sum(g / dof**k for k, g in enumerate(_CORNISH_FISHER, 1))
+    target = 2 * (1 - 0.975)  # exact in floats
+    with localcontext(_T_CONTEXT):
+        norm = _t_norm(dof)
+        norm_float = float(norm)
+        while True:
+            density = math.exp(math.log1p(t * t / dof) * (dof + 1) / -2) / norm_float
+            step = _halley_step(t, dof, _t_tail(t, dof, density, 1e-15) - target, density)
+            t += step
+            if abs(step) <= 1e-12 * t:
+                break
+        t, target = Decimal(t), 2 * (1 - Decimal(0.975))
+        while True:
+            density = _t_density(t, dof, norm)
+            step = _halley_step(t, dof, _t_tail(t, dof, density, _T_EPS) - target, density)
+            t += step
+            if abs(step) <= 1e-12 * float(t):
+                return float(t)
 
 
 def _check_dof(n: int, k_params: int) -> None:
@@ -387,7 +536,7 @@ class _Walk:
 
     def tcrit(self, dof: int) -> float:
         if dof not in self._tcrit:
-            self._tcrit[dof] = float(special.stdtrit(dof, 0.975))
+            self._tcrit[dof] = _t_quantile_975(dof)
         return self._tcrit[dof]
 
     def report(self, node: _Node) -> RegressionReport:
@@ -465,8 +614,8 @@ def vif(design: DesignMatrix) -> dict[str, float]:
     return dict(zip(design.variables, _vif_values(walk.norms2, row_ss)))
 
 
-def pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Sample Pearson correlation with two-sided p-value via the t-transform."""
+def _pearson_r(x: np.ndarray, y: np.ndarray) -> float:
+    """Sample Pearson correlation, without its p-value."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 3:
@@ -476,7 +625,12 @@ def pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     sxx, syy = _dot(xc, xc), _dot(yc, yc)
     if sxx == 0 or syy == 0:
         raise DataError("pearson is undefined for constant input")
-    r = min(max(_dot(xc, yc) / (math.sqrt(sxx) * math.sqrt(syy)), -1.0), 1.0)
+    return min(max(_dot(xc, yc) / (math.sqrt(sxx) * math.sqrt(syy)), -1.0), 1.0)
+
+
+def pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Sample Pearson correlation with two-sided p-value via the t-transform."""
+    r = _pearson_r(x, y)
     dof = len(x) - 2
     if abs(r) == 1.0:
         return r, 0.0

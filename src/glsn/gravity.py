@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .econometrics import DesignMatrix, RegressionReport, ols_fit, pearson
+from .econometrics import DesignMatrix, RegressionReport, _pearson_r, ols_fit
 from .graph import Glsn
 from .model import BilateralRecord, CountryEcon, DataError
 
@@ -231,9 +231,7 @@ def estimate_country_trade(
             est[c] = est.get(c, 0.0) + pred
             emp[c] = emp.get(c, 0.0) + obs
     codes = sorted(est)
-    r, _ = pearson(
-        np.array([emp[c] for c in codes]), np.array([est[c] for c in codes])
-    )
+    r = _pearson_r(np.array([emp[c] for c in codes]), np.array([est[c] for c in codes]))
     # r^2 adjusted for the single implicit regressor
     n = len(codes)
     adj = 1.0 - (1.0 - r * r) * (n - 1) / (n - 2)

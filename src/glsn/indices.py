@@ -20,6 +20,7 @@ over the whole component, while gb alone stops it at the largest cap.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -174,10 +175,11 @@ def _betweenness(
     country and cap.
     """
     view, cbit = g.int_view, g.int_view.cbit
+    n = len(cbit)
     buckets: dict[tuple[int, int], dict[int, int]] = {}
-    deps: list[list[float]] = []
-    for s in range(len(cbit)):
-        dist, profiles, dep = _bfs(view, s, max(l_values, default=0), fb, range(s + 1, len(cbit)))
+    deps = array("d")  # dep of each source in turn: 8 bytes a port, 32 in a list of floats
+    for s in range(n):
+        dist, profiles, dep = _bfs(view, s, max(l_values, default=0), fb, range(s + 1, n))
         for t, profile in profiles.items():
             # n_st first, as it keys the counter; a path through t's country
             # is not valid for (s, t)
@@ -188,7 +190,7 @@ def _betweenness(
             if n_st:
                 _valid_paths(profile, ct, buckets.setdefault((dist[t], n_st), {}))
         if fb:
-            deps.append(dep)
+            deps.fromlist(dep)
 
     lcm = math.lcm(*(n_st for _, n_st in buckets))
     num = {l_max: dict.fromkeys(view.countries, 0) for l_max in l_values}
@@ -201,7 +203,7 @@ def _betweenness(
           for l_max, totals in num.items()}
     # each unordered pair is seen from both endpoints; fsum rounds once, so
     # the 0.0 terms of unreached ports change nothing
-    return gb, {p: math.fsum(ts) / 2.0 for p, ts in zip(view.ports, zip(*deps))} if fb else None
+    return gb, {p: math.fsum(deps[i::n]) / 2.0 for i, p in enumerate(view.ports)} if fb else None
 
 
 def _floats(gb: dict[int, dict[str, Fraction]]) -> dict[int, dict[str, float]]:

@@ -1,4 +1,7 @@
 import filecmp
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -303,3 +306,14 @@ class TestSinglePass:
                     "--out", tmp_path]) == 0
         assert calls == {"validate_dataset": 1, "build_index_table": 1, "build_glsn": graphs}
         assert capsys.readouterr().err.count("retained routes") == 1
+
+
+def test_cli_import_loads_no_scipy():
+    """glsn needs only numpy at run time; scipy serves the tests as an oracle."""
+    env = dict(os.environ)
+    src = str(Path(__file__).parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, glsn.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -171,6 +171,78 @@ class TestPearson:
         assert small >= 38
 
 
+def mp_two_sided_tail(t, nu):
+    """2 P(T > |t|) at mpmath's working precision: I_x(nu/2, 1/2), x = nu/(nu+t^2)."""
+    mpmath = pytest.importorskip("mpmath")
+    t = mpmath.mpf(t)
+    return mpmath.betainc(mpmath.mpf(nu) / 2, mpmath.mpf(1) / 2, 0, nu / (nu + t * t),
+                          regularized=True)
+
+
+def tail_grid(n=300, seed=20):
+    """Seeded (nu, t): nu log-uniform in 1..5000, |t| log-uniform in 1e-3..30,
+    either sign, plus three points whose tail is below 1e-100."""
+    rng = np.random.default_rng(seed)
+    nus = np.exp(rng.uniform(0.0, math.log(5000), n)).round().astype(int).tolist()
+    ts = (np.exp(rng.uniform(math.log(1e-3), math.log(30), n)) * rng.choice([-1, 1], n)).tolist()
+    return list(zip(nus, ts)) + [(5000, 30.0), (1000, -25.0), (2000, 28.5)]
+
+
+class TestStudentT:
+    """The t distribution that gives the CIs and p-values, against mpmath at
+    50 digits: every value must be the correctly rounded double."""
+
+    QUANTILE_DOFS = list(range(1, 301)) + [400, 1000, 5000]
+
+    def test_quantile_is_correctly_rounded(self):
+        # mpmath's 50-digit quantile rounds to q exactly when the tail at the
+        # two half-ulp points around q brackets the target
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            target = 2 * (1 - mpmath.mpf(0.975))
+            for nu in self.QUANTILE_DOFS:
+                q = econometrics._t_quantile_975(nu)
+                lo = (mpmath.mpf(q) + math.nextafter(q, 0.0)) / 2
+                hi = (mpmath.mpf(q) + math.nextafter(q, math.inf)) / 2
+                assert mp_two_sided_tail(lo, nu) > target > mp_two_sided_tail(hi, nu), nu
+
+    @pytest.mark.parametrize("nu", [1, 2, 3, 10, 144, 5000])
+    def test_quantile_equals_mpmath_root(self, nu):
+        mpmath = pytest.importorskip("mpmath")
+        q = econometrics._t_quantile_975(nu)
+        with mpmath.workdps(50):
+            target = 2 * (1 - mpmath.mpf(0.975))
+            root = mpmath.findroot(lambda t: mp_two_sided_tail(t, nu) - target, q)
+            assert float(root) == q
+
+    def test_tail_is_correctly_rounded(self):
+        mpmath = pytest.importorskip("mpmath")
+        ps = []
+        with mpmath.workdps(50):
+            for nu, t in tail_grid():
+                p = econometrics._t_two_sided_p(t, nu)
+                assert p == float(mp_two_sided_tail(t, nu)), (nu, t)
+                ps.append(p)
+        assert min(ps) < 1e-100
+
+    def test_edge_cases(self):
+        p = econometrics._t_two_sided_p
+        for nu in (1, 2, 7, 5000):
+            assert p(0.0, nu) == 1.0 and p(-0.0, nu) == 1.0
+            assert p(math.inf, nu) == 0.0 and p(-math.inf, nu) == 0.0
+            assert math.isnan(p(math.nan, nu))
+        for nu, t in tail_grid(n=60, seed=21):
+            assert p(t, nu) == p(-t, nu)
+
+    def test_scipy_agrees_to_1e_12(self):
+        for nu, t in tail_grid(n=100, seed=22):
+            expected = 2 * stats.t.sf(abs(t), nu)
+            assert econometrics._t_two_sided_p(t, nu) == pytest.approx(expected, rel=1e-12)
+        for nu in self.QUANTILE_DOFS:
+            assert econometrics._t_quantile_975(nu) == pytest.approx(
+                stats.t.ppf(0.975, nu), rel=1e-12)
+
+
 class TestSelectModel:
     def test_four_candidates_fifteen_subsets(self):
         rng = np.random.default_rng(4)

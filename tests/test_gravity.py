@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from glsn import econometrics
 from glsn.gravity import (
     GravityVariant,
     CountryPairSample,
@@ -190,6 +191,16 @@ class TestEstimateCountryTrade:
         expected = math.exp(predict_ln_btv(rep, s, GravityVariant.BASE))
         assert est.estimated[s.country_i] == pytest.approx(expected)
         assert est.estimated[s.country_j] == pytest.approx(expected)
+
+    def test_reconstruction_computes_no_p_value(self, monkeypatch):
+        def no_tail(t, dof):
+            raise AssertionError("the Pearson p-value is not used")
+
+        monkeypatch.setattr(econometrics, "_t_two_sided_p", no_tail)
+        samples = synth_samples(np.random.default_rng(11), 50, noise_sd=0.3)
+        est = estimate_country_trade(
+            fit_gravity(samples, GravityVariant.BASE), samples, GravityVariant.BASE)
+        assert est.pearson_r == pytest.approx(0.9942289786363592, abs=1e-12)
 
     def test_noisy_reconstruction_reproducible_golden(self):
         # 50-country world with seeded noise; value frozen from the first run
