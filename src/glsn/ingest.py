@@ -46,11 +46,16 @@ def _reader(stream: IO, required: list[str], what: str) -> Iterator[csv.DictRead
 
 
 def _required(row: dict, columns: tuple[str, ...], where: str) -> list[str]:
-    """The stripped values of `columns`; a short row leaves one None."""
+    """The stripped values of `columns`. A short row, with fewer fields than
+    the header (csv leaves None for each missing one), raises: it names the
+    required columns it lacks, else the optional ones."""
     values = [row[c] for c in columns]
     if None in values:
         *head, last = columns
         raise DataError(f"{where}: needs {', '.join(head) + ' and ' if head else ''}{last}")
+    missing = [c for c, v in row.items() if v is None]
+    if missing:
+        raise DataError(f"{where}: short row, no {', '.join(missing)}")
     return [v.strip() for v in values]
 
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 
-from .graph import Glsn
-from .model import DataError
+from glsn.graph import Glsn
+from glsn.model import DataError
 
 MAX_NODES = 16
 

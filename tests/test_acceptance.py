@@ -31,9 +31,9 @@ from glsn.indices import (
     glsn_betweenness_profile,
     port_betweenness,
 )
-from glsn.oracle import glsn_betweenness_oracle, port_betweenness_oracle
 
 from conftest import make_glsn, random_glsn
+from oracle import glsn_betweenness_oracle, port_betweenness_oracle
 
 DATA = Path(__file__).parent / "data"
 N_SUITE = 200

@@ -1,4 +1,6 @@
+import contextlib
 import filecmp
+import io
 import os
 import subprocess
 import sys
@@ -165,6 +167,28 @@ class TestReportDeterminism:
         assert mismatch == [] and errors == []
 
 
+    def test_forked_pass_matches_one_process(self, tmp_path, monkeypatch):
+        # a 300-port report with the gb/fb pass in one process, over the
+        # CPUs of the mask (pinned) and over three workers (pinned only if
+        # there are three CPUs)
+        import glsn.indices
+
+        data = tmp_path / "data"
+        assert run(["gen-fixture", "--seed", "11", "--n-ports", "300", "--n-routes", "100",
+                    "--n-countries", "30", "--out", data]) == 0
+        args = [str(a).replace(str(FIXTURE), str(data)) for a in REPORT_ARGS]
+        worker_count = glsn.indices.worker_count
+        for name, workers in [("one", lambda: 1), ("default", worker_count), ("three", lambda: 3)]:
+            monkeypatch.setattr(glsn.indices, "worker_count", workers)
+            assert run(["report", *args, "--out", tmp_path / name]) == 0
+        names = sorted(p.name for p in (tmp_path / "one").iterdir())
+        for name in ["default", "three"]:
+            assert sorted(p.name for p in (tmp_path / name).iterdir()) == names
+            _, mismatch, errors = filecmp.cmpfiles(tmp_path / "one", tmp_path / name, names,
+                                                   shallow=False)
+            assert mismatch == [] and errors == []
+
+
 def _without_input_hashes(path):
     return [l for l in path.read_bytes().splitlines() if not l.startswith(b"# input ")]
 
@@ -189,6 +213,36 @@ class TestRowOrder:
             assert sorted(p.name for p in out.iterdir()) == golden
             for name in golden:
                 assert _without_input_hashes(out / name) == _without_input_hashes(GOLDEN / name)
+
+
+class TestTruncatedRow:
+    @pytest.mark.parametrize("name", [
+        "routes.csv", "routes_meta.csv", "ports.csv", "countries.csv", "bilateral.csv",
+    ])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_report_exits_1_with_one_error_line(self, name, data):
+        # a row cut short by at least one field, anywhere in any CSV input,
+        # is malformed: the run names it in one error line and writes nothing
+        with tempfile.TemporaryDirectory() as tmp:
+            inputs, out = Path(tmp) / "in", Path(tmp) / "out"
+            inputs.mkdir()
+            for f in FIXTURE.iterdir():
+                (inputs / f.name).write_bytes(f.read_bytes())
+            head, *rows = (FIXTURE / name).read_text().splitlines(keepends=True)
+            i = data.draw(st.integers(0, len(rows) - 1), label="row")
+            fields = rows[i].rstrip("\n").split(",")
+            kept = data.draw(st.integers(1, len(fields) - 1), label="fields kept")
+            rows[i] = ",".join(fields[:kept]) + "\n"
+            (inputs / name).write_text(head + "".join(rows))
+            args = [str(a).replace(str(FIXTURE), str(inputs)) for a in REPORT_ARGS]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert run(["report", *args, "--out", out]) == 1
+            lines = err.getvalue().splitlines()
+            assert [l for l in lines if l.startswith("error: ")] == lines[-1:], lines
+            assert f"line {i + 2}" in lines[-1]
+            assert not out.exists()
 
 
 class TestRunChecks:

@@ -1,12 +1,17 @@
 import math
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import glsn.indices
+from glsn.fixture import generate
+from glsn.graph import Glsn, WeightScheme, build_glsn
 from glsn.indices import (
     L_VALUES,
+    _betweenness,
     build_index_table,
     country_connectivity,
     country_freeman,
@@ -15,12 +20,13 @@ from glsn.indices import (
     glsn_betweenness_profile,
     port_betweenness,
     valid_shortest_path_profile,
+    worker_count,
 )
-from glsn.graph import Glsn
+from glsn.ingest import parse_ports, parse_routes, validate_dataset
 from glsn.model import DataError
-from glsn.oracle import all_shortest_paths, glsn_betweenness_oracle, port_betweenness_oracle
 
 from conftest import make_glsn, random_glsn
+from oracle import all_shortest_paths, glsn_betweenness_oracle, port_betweenness_oracle
 
 
 class TestConnectivity:
@@ -233,6 +239,8 @@ class TestSharedPass:
             sources.append(view.ports[s])
             return bfs(view, s, *args, **kwargs)
 
+        # a forked worker's calls would not reach this process's counter
+        monkeypatch.setattr(glsn.indices, "worker_count", lambda: 1)
         monkeypatch.setattr(glsn.indices, "_bfs", counted)
         g = _two_components_and_isolated(3)
         build_index_table(g, g)
@@ -551,3 +559,135 @@ class TestAgainstReference:
         assert valid_shortest_path_profile(g, "a", "t", 4) == (2, {"W": 2, "Z": 2})
         assert glsn_betweenness_exact(g) == {l: _literal_gb(g, l) for l in L_VALUES}
         assert_matches_reference(g, L_VALUES)
+
+
+def _golden_graph():
+    """The structure graph that `report` builds from the golden fixture."""
+    fixture = Path(__file__).parent / "data" / "fixture"
+    with open(fixture / "routes.csv", "rb") as routes, open(fixture / "ports.csv", "rb") as f:
+        routes, ports = parse_routes(routes), parse_ports(f)
+    return build_glsn(validate_dataset(routes, ports).retained, ports, WeightScheme.UNWEIGHTED)
+
+
+def _fixture_graph(seed, n_ports, n_routes, n_countries):
+    ds = generate(seed=seed, n_ports=n_ports, n_routes=n_routes, n_countries=n_countries)
+    return build_glsn(ds.routes, ds.ports, WeightScheme.UNWEIGHTED)
+
+
+@pytest.fixture(scope="module", params=[
+    "golden", *((s, 300, 100, 30) for s in range(55, 60)), (11, 1000, 300, 60),
+], ids=str)
+def graph_and_serial(request):
+    """One graph, the golden one or a generated one, with its one-process gb
+    and port betweenness."""
+    g = _golden_graph() if request.param == "golden" else _fixture_graph(*request.param)
+    return g, _betweenness(g, L_VALUES, True, workers=1)
+
+
+def assert_no_child_and_mask(mask):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.sched_getaffinity(0) == mask
+
+
+class TestForkedPass:
+    """Sources interleaved over forked workers give the bits of one process,
+    whatever the worker count, and leave no child and no CPU pin behind."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_same_bits_as_one_process(self, graph_and_serial, workers):
+        g, (gb, b) = graph_and_serial
+        mask = os.sched_getaffinity(0)
+        split_gb, split_b = _betweenness(g, L_VALUES, True, workers=workers)
+        assert split_gb == gb
+        assert repr(split_b) == repr(b)
+        assert_no_child_and_mask(mask)
+
+    @pytest.mark.parametrize("workers", [4, 7])
+    def test_uneven_blocks(self, workers):
+        # 30 ports: blocks of 8 and 7 sources, or of 5 and 4; gb alone too
+        g = _golden_graph()
+        assert len(g.country_of) == 30
+        mask = os.sched_getaffinity(0)
+        assert _betweenness(g, (2, 4), True, workers=workers) == _betweenness(
+            g, (2, 4), True, workers=1)
+        assert _betweenness(g, (3,), False, workers=workers) == _betweenness(
+            g, (3,), False, workers=1)
+        assert_no_child_and_mask(mask)
+
+    def test_more_workers_than_ports(self, chain_graph):
+        mask = os.sched_getaffinity(0)
+        assert _betweenness(chain_graph, L_VALUES, True, workers=5) == _betweenness(
+            chain_graph, L_VALUES, True, workers=1)
+        assert_no_child_and_mask(mask)
+
+    @pytest.mark.parametrize("failing, raised", [(1, RuntimeError), (0, ZeroDivisionError)])
+    def test_failed_block_raises_and_reaps(self, monkeypatch, capfd, failing, raised):
+        # with two workers, source 1 is in the child's block and source 0 in
+        # this process's; a child that fails sends no result and prints why
+        bfs = glsn.indices._bfs
+
+        def failing_bfs(view, s, *args):
+            if s == failing:
+                raise ZeroDivisionError("planted")
+            return bfs(view, s, *args)
+
+        monkeypatch.setattr(glsn.indices, "_bfs", failing_bfs)
+        g = _golden_graph()
+        mask = os.sched_getaffinity(0)
+        with pytest.raises(raised):
+            _betweenness(g, L_VALUES, True, workers=2)
+        assert_no_child_and_mask(mask)
+        if failing == 1:
+            assert "ZeroDivisionError: planted" in capfd.readouterr().err
+
+    def test_worker_count_chooses_the_path(self, monkeypatch):
+        forks = []
+        forked_blocks = glsn.indices._forked_blocks
+
+        def counted(view, depth_cap, fb, workers):
+            forks.append(workers)
+            return forked_blocks(view, depth_cap, fb, workers)
+
+        g = _golden_graph()
+        monkeypatch.setattr(glsn.indices, "_forked_blocks", counted)
+        port_betweenness(g)
+        for workers in [1, 3]:
+            monkeypatch.setattr(glsn.indices, "worker_count", lambda w=workers: w)
+            port_betweenness(g)
+        cpus = len(os.sched_getaffinity(0))
+        assert forks == ([cpus, 3] if cpus > 1 else [3])
+
+    def test_pins_only_one_worker_per_cpu(self, monkeypatch):
+        # this process is pinned to the first CPU for the pass and its mask
+        # restored; with more workers than CPUs, no process is pinned
+        mask = os.sched_getaffinity(0)
+        g = _golden_graph()
+        if len(mask) >= len(g.country_of):
+            pytest.skip("more CPUs than the graph has ports")
+        calls = []
+        setaffinity = os.sched_setaffinity
+
+        def recorded(pid, cpus):
+            calls.append(set(cpus))
+            setaffinity(pid, cpus)
+
+        monkeypatch.setattr(os, "sched_setaffinity", recorded)
+        _betweenness(g, L_VALUES, True, workers=len(mask) + 1)
+        assert calls == []
+        _betweenness(g, L_VALUES, True, workers=len(mask))
+        assert calls == ([{min(mask)}, mask] if len(mask) > 1 else [])
+        assert_no_child_and_mask(mask)
+
+
+class TestWorkerCount:
+    def test_default_is_the_cpus_of_the_mask(self):
+        assert worker_count() == len(os.sched_getaffinity(0))
+
+    def test_follows_a_narrower_mask(self):
+        mask = os.sched_getaffinity(0)
+        try:
+            os.sched_setaffinity(0, {min(mask)})
+            assert worker_count() == 1
+        finally:
+            os.sched_setaffinity(0, mask)

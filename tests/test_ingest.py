@@ -99,6 +99,19 @@ def test_parse_bilateral_short_row():
         parse_bilateral(s("country_i,btv_usd,country_j\nAAA,5\n"))
 
 
+@pytest.mark.parametrize("parse, text, needle", [
+    (parse_country_econ, "country_code,gdp_usd,lsci\nAAA,5\n", "countries line 2: short row, no lsci"),
+    (parse_bilateral, "country_i,country_j,btv_usd,lsbci\nAAA,AAB,5\n",
+     "bilateral line 2: short row, no lsbci"),
+    (lambda f: parse_routes(s(ROUTES), f), "route_id,capacity_teu\nR1\n",
+     "routes_meta line 2: short row, no capacity_teu"),
+])
+def test_short_row_missing_an_optional_field(parse, text, needle):
+    # a blank field is missing data; a missing field is a malformed row
+    with pytest.raises(DataError, match=needle):
+        parse(s(text))
+
+
 def test_parse_routes_meta_short_row():
     with pytest.raises(DataError, match="routes_meta line 2: needs route_id"):
         parse_routes(s(ROUTES), s("capacity_teu,route_id\n5\n"))
