@@ -34,6 +34,7 @@ from .gravity import (
     estimate_country_trade,
     fit_gravity,
     predict_ln_btv,
+    shared_pairs,
 )
 from .indices import L_VALUES, CountryIndexTable, build_index_table
 from .ingest import (
@@ -324,10 +325,9 @@ def cmd_gravity(run: Run) -> None:
 
     report_rows = []
     first_fit = None
+    shared = shared_pairs(econ, bilateral, run.structure)
     for variant in run.variants:
-        assembly = assemble_pairs(
-            econ, bilateral, variant, glsn=run.structure, gb=gb, gc=table.gc
-        )
+        assembly = assemble_pairs(econ, bilateral, variant, gb=gb, gc=table.gc, shared=shared)
         for reason, count in sorted(assembly.excluded.items()):
             print(f"gravity {variant.value}: excluded {count} pairs ({reason})",
                   file=sys.stderr)

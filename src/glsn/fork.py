@@ -1,0 +1,109 @@
+"""Run one function over the parts of a job in forked worker processes.
+
+`run_parts` calls `fn` on each part: part 0 in this process, every other part
+in a child forked with plain `os.fork`, which pickles its result back over a
+pipe and always leaves through `os._exit`. The results reach `take` in part
+order, each as soon as it is loaded, so the caller can merge them one at a
+time. A `DataError` raised by `fn` in a child is sent back and raised here;
+any other failure of a child prints its traceback and sends nothing, and the
+call raises `RuntimeError`. There is no serial fallback.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import signal
+import traceback
+from typing import BinaryIO, Callable, Sequence, TypeVar
+
+from .model import DataError
+
+P = TypeVar("P")
+R = TypeVar("R")
+
+
+def worker_count() -> int:
+    """Processes for one job: the CPUs this process may run on (a narrower
+    affinity mask, as set by `taskset`, gives fewer), and 1 where there is
+    no fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _child(fd: int, fn: Callable[[P], R], part: P, cpu: int | None) -> None:
+    """A forked worker: pickle (DataError or None, result) to fd, then leave
+    through os._exit, so that nothing of the parent's stack runs twice."""
+    code = 1
+    try:
+        if cpu is not None:
+            os.sched_setaffinity(0, {cpu})
+        try:
+            sent = (None, fn(part))  # fd stays open until a traceback is out
+        except DataError as exc:
+            sent = (exc, None)
+        with open(fd, "wb") as f:
+            pickle.dump(sent, f, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    except BaseException:  # reported through the missing result and the exit code
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
+
+
+def run_parts(fn: Callable[[P], R], parts: Sequence[P], take: Callable[[R], None]) -> None:
+    """Call take(fn(part)) for every part, in part order, with parts 1.. run
+    in forked children.
+
+    When there is one part per CPU of this process's mask, each process is
+    pinned to its own CPU, this one to the first, and this process's mask is
+    restored afterwards: left to itself, the scheduler of a 2-vCPU VM was seen
+    to keep both processes on one CPU. With fewer parts, the scheduler places
+    them. Every child is reaped before this returns or raises, and killed
+    first if the call failed.
+    """
+    if len(parts) == 1:
+        take(fn(parts[0]))
+        return
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+    pin = len(mask) == len(parts)
+    cpus = sorted(mask)
+    children: list[tuple[int, BinaryIO]] = []
+    done = False
+    try:
+        for i in range(1, len(parts)):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                os.close(r)
+                _child(w, fn, parts[i], cpus[i] if pin else None)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        if pin:
+            os.sched_setaffinity(0, {cpus[0]})
+        take(fn(parts[0]))
+        for i, (_, f) in enumerate(children, 1):
+            try:
+                error, result = pickle.load(f)  # bytes from this call's own children
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"worker {i} of {len(parts)} sent no result") from None
+            if error is not None:
+                raise error
+            take(result)
+        done = True
+    finally:
+        if pin:
+            os.sched_setaffinity(0, mask)
+        for pid, f in children:
+            f.close()
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

@@ -98,28 +98,23 @@ def country_adjacency(g: Glsn) -> set[tuple[str, str]]:
     return pairs
 
 
-def assemble_pairs(
-    econ: list[CountryEcon],
-    bilateral: list[BilateralRecord],
-    variant: GravityVariant,
-    glsn: Glsn | None = None,
-    gb: dict[str, float] | None = None,
-    gc: dict[str, float] | None = None,
-) -> PairAssembly:
-    """Build the log-space sample for a variant, reporting each exclusion.
+@dataclass
+class SharedPairs(PairAssembly):
+    """The base variant's sample and exclusions, with each sample's record:
+    what every variant shares."""
 
-    A pair enters only when the countries are directly connected in the port
-    graph, both GDPs and capitals are present, trade is positive, distance is
-    positive, and the variant's extra regressors are available and positive.
-    """
-    if variant.uses_gb and gb is None:
-        raise DataError("gb index values required for this variant")
-    if variant.uses_gc and gc is None:
-        raise DataError("gc index values required for this variant")
+    records: list[BilateralRecord] = field(default_factory=list)
+
+
+def shared_pairs(
+    econ: list[CountryEcon], bilateral: list[BilateralRecord], glsn: Glsn | None = None
+) -> SharedPairs:
+    """The pairs whose countries are directly connected in the port graph,
+    with both GDPs and capitals present, positive trade and positive
+    distance, in pair order, each exclusion counted by reason."""
     by_code = {e.country_code: e for e in econ}
     connected = country_adjacency(glsn) if glsn is not None else None
-
-    out = PairAssembly()
+    out = SharedPairs()
     for rec in sorted(bilateral, key=lambda r: r.pair):
         ci, cj = rec.pair
         ei, ej = by_code.get(ci), by_code.get(cj)
@@ -142,7 +137,47 @@ def assemble_pairs(
         if d <= 0:
             out._exclude("zero_distance")
             continue
+        out.samples.append(
+            CountryPairSample(
+                country_i=ci,
+                country_j=cj,
+                ln_gdp_product=math.log(ei.gdp_usd * ej.gdp_usd),
+                ln_distance=math.log(d),
+                ln_btv=math.log(rec.btv_usd),
+            )
+        )
+        out.records.append(rec)
+    return out
 
+
+def assemble_pairs(
+    econ: list[CountryEcon],
+    bilateral: list[BilateralRecord],
+    variant: GravityVariant,
+    glsn: Glsn | None = None,
+    gb: dict[str, float] | None = None,
+    gc: dict[str, float] | None = None,
+    shared: SharedPairs | None = None,
+) -> PairAssembly:
+    """Build the log-space sample for a variant, reporting each exclusion.
+
+    A pair enters only when it passes `shared_pairs` and the variant's extra
+    regressors are available and positive. A caller that builds several
+    variants passes `shared_pairs(econ, bilateral, glsn)` as `shared`, so
+    that those checks run once.
+    """
+    if variant.uses_gb and gb is None:
+        raise DataError("gb index values required for this variant")
+    if variant.uses_gc and gc is None:
+        raise DataError("gc index values required for this variant")
+    if shared is None:
+        shared = shared_pairs(econ, bilateral, glsn)
+    out = PairAssembly(excluded=dict(shared.excluded))
+    if variant is GravityVariant.BASE:
+        out.samples = list(shared.samples)
+        return out
+    for s, rec in zip(shared.samples, shared.records):
+        ci, cj = s.country_i, s.country_j
         ln_lsbci = ln_gb = ln_gc = None
         if variant.uses_lsbci:
             if rec.lsbci is None or rec.lsbci <= 0:
@@ -161,19 +196,9 @@ def assemble_pairs(
                 out._exclude("nonpositive_gc")
                 continue
             ln_gc = math.log(gi * gj)
-
-        out.samples.append(
-            CountryPairSample(
-                country_i=ci,
-                country_j=cj,
-                ln_gdp_product=math.log(ei.gdp_usd * ej.gdp_usd),
-                ln_distance=math.log(d),
-                ln_btv=math.log(rec.btv_usd),
-                ln_lsbci=ln_lsbci,
-                ln_gb_product=ln_gb,
-                ln_gc_product=ln_gc,
-            )
-        )
+        out.samples.append(CountryPairSample(
+            ci, cj, s.ln_gdp_product, s.ln_distance, s.ln_btv, ln_lsbci, ln_gb, ln_gc
+        ))
     return out
 
 

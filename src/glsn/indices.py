@@ -17,24 +17,21 @@ and country, so each cap is one exact fraction per country. fb runs the BFS
 over the whole component, while gb alone stops it at the largest cap.
 
 Each source's traversal is independent, so the sources are interleaved over
-forked worker processes, one per CPU (Bader & Madduri, ICPP 2006). The
-blocks merge exactly: gb's counters are ints, and fb sums each port's column
-once with fsum, so any worker count gives the same bits.
+forked worker processes, one per CPU, through `fork.run_parts` (Bader &
+Madduri, ICPP 2006). The blocks merge exactly: gb's counters are ints, and
+fb sums each port's column once with fsum, so any worker count gives the
+same bits.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import traceback
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import BinaryIO
 
+from . import fork
 from .graph import Glsn, IntView, port_counts
 from .model import DataError
 
@@ -174,17 +171,6 @@ def _check_caps(l_values: tuple[int, ...]) -> None:
         raise DataError("l_values must be positive")
 
 
-def worker_count() -> int:
-    """Processes for one gb/fb pass: the CPUs this process may run on (a
-    narrower affinity mask, as set by `taskset`, gives fewer), and 1 where
-    there is no fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _block(
     view: IntView, sources: range, depth_cap: int, fb: bool
 ) -> tuple[dict[tuple[int, int], dict[int, int]], array]:
@@ -225,101 +211,32 @@ def _merge(buckets: dict[tuple[int, int], dict[int, int]], part_buckets) -> None
                 into[bit] = into.get(bit, 0) + k
 
 
-def _child(fd: int, view: IntView, sources: range, depth_cap: int, fb: bool,
-           cpu: int | None) -> None:
-    """A forked worker: pickle the block of `sources` to fd, then leave through
-    os._exit, so that nothing of the parent's stack runs twice. A worker that
-    fails prints its traceback and sends nothing."""
-    code = 1
-    try:
-        if cpu is not None:
-            os.sched_setaffinity(0, {cpu})
-        part = _block(view, sources, depth_cap, fb)  # fd stays open until the traceback is out
-        with open(fd, "wb") as f:
-            pickle.dump(part, f, pickle.HIGHEST_PROTOCOL)
-        code = 0
-    except BaseException:  # reported through the missing result and the exit code
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(code)
-
-
-def _forked_blocks(view: IntView, depth_cap: int, fb: bool, workers: int):
-    """`_block` over every source, interleaved over `workers` processes.
-
-    Worker i takes sources i, i + workers, ...; worker 0 is this process and
-    the others are forked children that pickle their block back over a pipe.
-    Returns the merged counters and each block's dep rows. When there is one
-    worker per CPU of this process's mask, each is pinned to its own CPU and
-    this process's mask is restored afterwards: left to itself, the scheduler
-    of a 2-vCPU VM was seen to keep both processes on one CPU. With fewer
-    workers, the scheduler places them. Every child is reaped before this
-    returns or raises, and killed first if the pass failed.
-    """
-    n = len(view.adj)
-    mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
-    pin = len(mask) == workers
-    cpus = sorted(mask)
-    children: list[tuple[int, BinaryIO]] = []
-    done = False
-    try:
-        for i in range(1, workers):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                os.close(r)
-                _child(w, view, range(i, n, workers), depth_cap, fb, cpus[i] if pin else None)
-            os.close(w)
-            children.append((pid, open(r, "rb")))
-        if pin:
-            os.sched_setaffinity(0, {cpus[0]})
-        buckets, deps = _block(view, range(0, n, workers), depth_cap, fb)
-        parts = [deps]
-        for i, (_, f) in enumerate(children, 1):
-            try:
-                part_buckets, part_deps = pickle.load(f)  # bytes from this pass's own children
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(f"gb/fb worker {i} of {workers} sent no result") from None
-            _merge(buckets, part_buckets)
-            parts.append(part_deps)
-        done = True
-    finally:
-        if pin:
-            os.sched_setaffinity(0, mask)
-        for pid, f in children:
-            f.close()
-            if not done:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return buckets, parts
-
-
 def _betweenness(
     g: Glsn, l_values: tuple[int, ...], fb: bool, workers: int | None = None
 ) -> tuple[dict[int, dict[str, Fraction]], dict[str, float] | None]:
     """Exact gb per cap in l_values and, with fb, port betweenness (else None).
 
-    The sources are split over `workers` processes (by default
-    `worker_count()`) and their blocks merged. A cap's total sums delta/n_st
-    exactly over the keys within it, as integers over the lcm of all n_st:
-    one Fraction per country and cap.
+    The sources are interleaved over `workers` processes (by default
+    `fork.worker_count()`), worker i taking sources i, i + workers, ...; each
+    block's counters are merged as it arrives and its dep rows kept. A cap's
+    total sums delta/n_st exactly over the keys within it, as integers over
+    the lcm of all n_st: one Fraction per country and cap.
     """
     view = g.int_view
     n = len(view.adj)
     if workers is None:
-        workers = worker_count()
+        workers = fork.worker_count()
     workers = min(workers, n)
     depth_cap = max(l_values, default=0)
-    if workers > 1:
-        buckets, parts = _forked_blocks(view, depth_cap, fb, workers)
-    else:
-        buckets, deps = _block(view, range(n), depth_cap, fb)
-        parts = [deps]
+    buckets: dict[tuple[int, int], dict[int, int]] = {}
+    parts: list[array] = []
+
+    def take(block):
+        _merge(buckets, block[0])
+        parts.append(block[1])
+
+    fork.run_parts(lambda sources: _block(view, sources, depth_cap, fb),
+                   [range(i, n, workers) for i in range(workers)], take)
 
     lcm = math.lcm(*(n_st for _, n_st in buckets))
     num = {l_max: dict.fromkeys(view.countries, 0) for l_max in l_values}

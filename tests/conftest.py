@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -36,3 +38,10 @@ def random_glsn(seed: int, max_nodes: int = 12, edge_prob: float = 0.3) -> Glsn:
 def chain_graph():
     """s(X) - m(Z) - t(Y), no direct s-t edge."""
     return make_glsn({"s": "X", "m": "Z", "t": "Y"}, [("s", "m"), ("m", "t")])
+
+
+def assert_no_child_and_mask(mask):
+    """No child of this process is left to reap, and its CPU mask is `mask`."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.sched_getaffinity(0) == mask

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glsn.cli import main
+import glsn.fork
+from glsn.cli import CANDIDATES, main
 from glsn.indices import country_connectivity, glsn_betweenness
 
 from conftest import make_glsn
@@ -152,6 +153,39 @@ class TestGravity:
         assert lines[0] == "variant,adjusted_r2,aic,max_vif"
         assert [l.split(",")[0] for l in lines[1:]] == ["base", "lsbci", "gb", "lsbci_gb"]
 
+    def test_shared_checks_run_once_for_every_variant(self, tmp_path, monkeypatch, capsys):
+        # the same distances and exclusion lines as each variant on its own
+        import glsn.gravity
+
+        calls = []
+
+        def counted(*args, _fn=glsn.gravity.great_circle_km):
+            calls.append(args)
+            return _fn(*args)
+
+        # one pair with no trade and two with no lsbci, so that both kinds
+        # of exclusion show
+        rows = (FIXTURE / "bilateral.csv").read_text().splitlines()
+        rows[1] = ",".join(rows[1].split(",")[:2] + ["0.0", "0.5"])
+        rows[2] = rows[2].rsplit(",", 1)[0] + ","
+        rows[3] = rows[3].rsplit(",", 1)[0] + ","
+        (tmp_path / "bilateral.csv").write_text("\n".join(rows) + "\n")
+        args = [str(a).replace(str(FIXTURE / "bilateral.csv"), str(tmp_path / "bilateral.csv"))
+                for a in REPORT_ARGS]
+        monkeypatch.setattr(glsn.gravity, "great_circle_km", counted)
+        lines, distances = [], []
+        for variant in ["base", "lsbci", "gb", "lsbci_gb", "gc", "lsbci_gc"]:
+            assert run(["gravity", *args, "--variant", variant,
+                        "--out", tmp_path / variant]) == 0
+            lines += [l for l in capsys.readouterr().err.splitlines() if l.startswith("gravity ")]
+            distances.append(calls[:])
+            calls.clear()
+        assert run(["gravity", *args, "--variant", "all", "--out", tmp_path / "all"]) == 0
+        assert [l for l in capsys.readouterr().err.splitlines()
+                if l.startswith("gravity ")] == lines
+        assert "gravity lsbci_gc: excluded 2 pairs (missing_lsbci)" in lines
+        assert calls == distances[0] and all(d == calls for d in distances)
+
 
 class TestReportDeterminism:
     @pytest.mark.parametrize("threads", ["1", "4"])
@@ -171,22 +205,51 @@ class TestReportDeterminism:
         # a 300-port report with the gb/fb pass in one process, over the
         # CPUs of the mask (pinned) and over three workers (pinned only if
         # there are three CPUs)
-        import glsn.indices
+        _assert_same_at_worker_counts(tmp_path, monkeypatch, ["--n-ports", "300", "--n-routes",
+                                                              "100", "--n-countries", "30"])
 
+    def test_forked_walk_matches_one_process(self, tmp_path, monkeypatch):
+        # every candidate, so the walk fits 127 subsets and forks too; the
+        # golden fixture has 6 countries, too few for 7 candidates
+        _assert_same_at_worker_counts(
+            tmp_path, monkeypatch, ["--n-ports", "40", "--n-routes", "20", "--n-countries", "12"],
+            ["--candidates", ",".join(CANDIDATES)])
+
+    def test_collinear_forked_walk_is_a_data_error(self, tmp_path, monkeypatch, capfd):
+        # 3 ports in each of 12 countries: gc_norm is gc / 3, exactly collinear
         data = tmp_path / "data"
-        assert run(["gen-fixture", "--seed", "11", "--n-ports", "300", "--n-routes", "100",
-                    "--n-countries", "30", "--out", data]) == 0
+        assert run(["gen-fixture", "--seed", "11", "--n-ports", "36", "--n-routes", "20",
+                    "--n-countries", "12", "--out", data]) == 0
         args = [str(a).replace(str(FIXTURE), str(data)) for a in REPORT_ARGS]
-        worker_count = glsn.indices.worker_count
-        for name, workers in [("one", lambda: 1), ("default", worker_count), ("three", lambda: 3)]:
-            monkeypatch.setattr(glsn.indices, "worker_count", workers)
-            assert run(["report", *args, "--out", tmp_path / name]) == 0
-        names = sorted(p.name for p in (tmp_path / "one").iterdir())
-        for name in ["default", "three"]:
-            assert sorted(p.name for p in (tmp_path / name).iterdir()) == names
-            _, mismatch, errors = filecmp.cmpfiles(tmp_path / "one", tmp_path / name, names,
-                                                   shallow=False)
-            assert mismatch == [] and errors == []
+        capfd.readouterr()
+        errors = []
+        for workers in [1, glsn.fork.worker_count(), 3]:
+            monkeypatch.setattr(glsn.fork, "worker_count", lambda w=workers: w)
+            assert run(["report", *args, "--candidates", ",".join(CANDIDATES),
+                        "--out", tmp_path / str(workers)]) == 1
+            err = capfd.readouterr().err
+            assert "Traceback" not in err
+            errors.append(err.splitlines()[-1])
+        assert errors == [
+            "error: design matrix is rank deficient (exactly collinear columns)"] * 3
+
+
+def _assert_same_at_worker_counts(tmp_path, monkeypatch, fixture_args, report_args=()):
+    """`report` on a generated fixture gives the same bytes with one worker,
+    the default count and three, each forced through `fork.worker_count`."""
+    data = tmp_path / "data"
+    assert run(["gen-fixture", "--seed", "11", *fixture_args, "--out", data]) == 0
+    args = [str(a).replace(str(FIXTURE), str(data)) for a in REPORT_ARGS]
+    worker_count = glsn.fork.worker_count
+    for name, workers in [("one", lambda: 1), ("default", worker_count), ("three", lambda: 3)]:
+        monkeypatch.setattr(glsn.fork, "worker_count", workers)
+        assert run(["report", *args, *report_args, "--out", tmp_path / name]) == 0
+    names = sorted(p.name for p in (tmp_path / "one").iterdir())
+    for name in ["default", "three"]:
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == names
+        _, mismatch, errors = filecmp.cmpfiles(tmp_path / "one", tmp_path / name, names,
+                                               shallow=False)
+        assert mismatch == [] and errors == []
 
 
 def _without_input_hashes(path):

@@ -1,6 +1,7 @@
 import csv
 import gc
 import math
+import os
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import glsn.fork
 from glsn import econometrics
 from glsn.econometrics import (
     DesignMatrix,
@@ -23,6 +25,8 @@ from glsn.econometrics import (
     vif,
 )
 from glsn.model import DataError
+
+from conftest import assert_no_child_and_mask
 
 
 def design(x, y, names=None, response="y"):
@@ -460,6 +464,8 @@ class TestPackedReport:
 
         d = correlated_design(6)
         expected = ols_fit(d.subset(select_model(d).verdict.variables)).p_values
+        # a forked worker's calls would not reach this process's counter
+        monkeypatch.setattr(glsn.fork, "worker_count", lambda: 1)
         monkeypatch.setattr(econometrics, "_t_two_sided_p", counted)
         sel = select_model(d)
         assert calls == []
@@ -506,3 +512,147 @@ class TestPackedReport:
         for row in sel.table:
             assert row.report == ols_fit(d.subset(row.variables)), row.variables
         assert vif(d) == rows[("a", "b", "c")].report.vif
+
+    def test_p_values_compute_the_beta_once_per_dof(self):
+        rep = ols_fit(correlated_design(6))
+        econometrics._t_norm.cache_clear()
+        first = rep.p_values
+        assert rep.p_values == first
+        info = econometrics._t_norm.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * rep.k_params - 1)
+        assert econometrics._t_norm(rep.dof) == econometrics._t_norm.__wrapped__(rep.dof)
+
+
+def k12_design(seed, n=150, pairs=6):
+    """The select_k12 benchmark design: column j is base[:, j // 2] plus
+    N(0, 0.3) noise, standardized."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(0.0, 1.0, (n, pairs))
+    x = np.column_stack([base[:, j // 2] + rng.normal(0.0, 0.3, n) for j in range(2 * pairs)])
+    y = base @ np.array((1.0, -0.8, 0.6, -0.4, 0.2, 0.0)) + rng.normal(0.0, 1.0, n)
+    return standardize(design(x, y, names=[f"x{j + 1:02d}" for j in range(2 * pairs)]))
+
+
+def selection_bits(sel):
+    """Every row's variables, admissibility and packed doubles, and the verdict."""
+    rows = [(r.variables, r.admissible, [repr(v) for v in r.report.packed]) for r in sel.table]
+    return rows, sel.verdict and sel.verdict.variables
+
+
+def _subsets(k, pieces):
+    """The candidate positions of each subset in the pieces, walked as
+    `_Walk.fit_pieces` walks them, with no size cap."""
+    out = []
+
+    def walk(cols, pending, whole):
+        out.append(cols)
+        if whole:
+            for at in range(len(pending)):
+                walk(cols + (pending[at],), pending[at + 1:], True)
+
+    for path, whole in pieces:
+        cols, pending = (), tuple(range(k))
+        for at in path:
+            cols, pending = cols + (pending[at],), pending[at + 1:]
+        walk(cols, pending, whole)
+    return out
+
+
+@pytest.fixture(scope="module", params=[("k12", 11), ("k12", 29), 7, 8, 10], ids=str)
+def walk_design(request):
+    """A design and its selection in one process."""
+    d = k12_design(request.param[1]) if isinstance(request.param, tuple) else correlated_design(
+        request.param)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(glsn.fork, "worker_count", lambda: 1)
+        return d, selection_bits(select_model(d))
+
+
+class TestForkedWalk:
+    """The walk's subtrees fitted in forked workers give the table and the
+    verdict of one process, and leave no child and no CPU pin behind."""
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_same_bits_as_one_process(self, walk_design, workers, monkeypatch):
+        d, serial = walk_design
+        mask = os.sched_getaffinity(0)
+        monkeypatch.setattr(glsn.fork, "worker_count", lambda: workers)
+        assert selection_bits(select_model(d)) == serial
+        assert_no_child_and_mask(mask)
+
+    @pytest.mark.parametrize("k, max_size", [(12, 12), (7, 7), (10, 10), (12, 5), (9, 2)])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 8])
+    def test_deal_covers_each_subset_once_and_balances(self, k, max_size, workers):
+        parts = econometrics._deal(k, max_size, workers)
+        assert 1 <= len(parts) <= workers
+        loads, sizes, seen = [], [], []
+        for part in parts:
+            part_sizes = []
+            for piece in part:
+                subsets = [s for s in _subsets(k, [piece]) if len(s) <= max_size]
+                part_sizes.append(len(subsets))
+                seen += subsets
+            sizes += part_sizes
+            loads.append(sum(part_sizes))
+        assert sorted(seen) == sorted(
+            c for size in range(1, max_size + 1) for c in combinations(range(k), size))
+        share = -(-len(seen) // workers)
+        assert max(sizes) <= share
+        # pieces go largest first to the least loaded part; with every size
+        # fitted, the pieces are powers of two and the loads differ by one
+        assert max(loads) - min(loads) <= (1 if k == max_size else max(sizes))
+
+    def test_deal_at_k12_over_two_workers(self):
+        # the root's largest subtree against all the others
+        assert econometrics._deal(12, 12, 2) == [
+            [((0,), True)], [((i,), True) for i in range(1, 12)]]
+
+    def test_forks_from_127_subsets(self, monkeypatch):
+        forks = []
+        run_parts = glsn.fork.run_parts
+
+        def counted(fn, parts, take):
+            forks.append(len(parts))
+            return run_parts(fn, parts, take)
+
+        monkeypatch.setattr(glsn.fork, "run_parts", counted)
+        monkeypatch.setattr(glsn.fork, "worker_count", lambda: 2)
+        for k in (6, 7):  # 63 and 127 subsets
+            select_model(correlated_design(k))
+        assert forks == [1, 2]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_exactly_collinear_design_raises(self, monkeypatch, workers):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(40, 8))
+        x[:, 7] = x[:, 2] - 2.0 * x[:, 5]
+        mask = os.sched_getaffinity(0)
+        monkeypatch.setattr(glsn.fork, "worker_count", lambda: workers)
+        with pytest.raises(DataError, match=r"^design matrix is rank deficient "):
+            select_model(design(x, rng.normal(size=40)))
+        assert_no_child_and_mask(mask)
+
+    @pytest.mark.parametrize("in_child", [False, True])
+    @pytest.mark.parametrize("planted, raised", [
+        (DataError("planted"), DataError), (ZeroDivisionError("planted"), None),
+    ])
+    def test_planted_failure(self, monkeypatch, capfd, in_child, planted, raised):
+        # a DataError reaches the caller from either side; any other error is
+        # the parent's own, or a child's that sent nothing
+        parent, report = os.getpid(), econometrics._Walk.report
+
+        def failing(walk, node):
+            if (os.getpid() != parent) == in_child:
+                raise planted
+            return report(walk, node)
+
+        mask = os.sched_getaffinity(0)
+        monkeypatch.setattr(econometrics._Walk, "report", failing)
+        monkeypatch.setattr(glsn.fork, "worker_count", lambda: 2)
+        if raised is None:
+            raised = RuntimeError if in_child else ZeroDivisionError
+        with pytest.raises(raised):
+            select_model(correlated_design(7))
+        assert_no_child_and_mask(mask)
+        if raised is RuntimeError:
+            assert "ZeroDivisionError: planted" in capfd.readouterr().err

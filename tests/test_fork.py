@@ -1,0 +1,97 @@
+import os
+
+import pytest
+
+import glsn.fork
+from glsn.fork import run_parts, worker_count
+from glsn.model import DataError
+
+from conftest import assert_no_child_and_mask
+
+
+def _collect(fn, parts):
+    taken = []
+    run_parts(fn, parts, taken.append)
+    return taken
+
+
+class TestRunParts:
+    @pytest.mark.parametrize("n_parts", [1, 2, 3, 5])
+    def test_results_in_part_order_part_0_here(self, n_parts):
+        mask = os.sched_getaffinity(0)
+        me = os.getpid()
+        taken = _collect(lambda p: (p * p, os.getpid()), list(range(n_parts)))
+        assert [r for r, _ in taken] == [p * p for p in range(n_parts)]
+        assert taken[0][1] == me
+        assert all(pid != me for _, pid in taken[1:])
+        assert_no_child_and_mask(mask)
+
+    def test_one_part_forks_and_pins_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "fork", lambda: calls.append("fork"))
+        monkeypatch.setattr(os, "sched_setaffinity", lambda *a: calls.append("pin"))
+        assert _collect(lambda p: p + 1, [41]) == [42]
+        assert calls == []
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_data_error_reaches_the_caller(self, failing):
+        # from the parent's part (0) or from a child's; the children are
+        # killed or finish, and all are reaped
+        mask = os.sched_getaffinity(0)
+
+        def fn(p):
+            if p == failing:
+                raise DataError(f"planted in part {p}")
+            return p
+
+        with pytest.raises(DataError, match=f"^planted in part {failing}$"):
+            _collect(fn, [0, 1, 2])
+        assert_no_child_and_mask(mask)
+
+    def test_other_child_error_is_runtime_error_with_traceback(self, capfd):
+        mask = os.sched_getaffinity(0)
+
+        def fn(p):
+            if p == 1:
+                raise ZeroDivisionError("planted")
+            return p
+
+        with pytest.raises(RuntimeError, match="worker 1 of 2 sent no result"):
+            _collect(fn, [0, 1])
+        assert "ZeroDivisionError: planted" in capfd.readouterr().err
+        assert_no_child_and_mask(mask)
+
+    def test_failing_take_kills_and_reaps(self):
+        mask = os.sched_getaffinity(0)
+
+        def take(r):
+            raise KeyError(r)
+
+        with pytest.raises(KeyError):
+            run_parts(lambda p: p, [0, 1, 2], take)
+        assert_no_child_and_mask(mask)
+
+    def test_pins_only_one_part_per_cpu(self, monkeypatch):
+        mask = os.sched_getaffinity(0)
+        calls = []
+        setaffinity = os.sched_setaffinity
+
+        def recorded(pid, cpus):
+            calls.append(set(cpus))
+            setaffinity(pid, cpus)
+
+        monkeypatch.setattr(os, "sched_setaffinity", recorded)
+        _collect(lambda p: p, list(range(len(mask) + 1)))
+        assert calls == []
+        _collect(lambda p: p, list(range(len(mask))))
+        assert calls == ([{min(mask)}, mask] if len(mask) > 1 else [])
+        assert_no_child_and_mask(mask)
+
+
+class TestWorkerCount:
+    def test_no_fork_means_one_worker(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert glsn.fork.worker_count() == 1
+
+    def test_default_is_the_cpus_of_the_mask(self):
+        assert worker_count() == len(os.sched_getaffinity(0))

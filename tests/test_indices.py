@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import glsn.fork
 import glsn.indices
 from glsn.fixture import generate
 from glsn.graph import Glsn, WeightScheme, build_glsn
+from glsn.fork import worker_count
 from glsn.indices import (
     L_VALUES,
     _betweenness,
@@ -20,12 +22,11 @@ from glsn.indices import (
     glsn_betweenness_profile,
     port_betweenness,
     valid_shortest_path_profile,
-    worker_count,
 )
 from glsn.ingest import parse_ports, parse_routes, validate_dataset
 from glsn.model import DataError
 
-from conftest import make_glsn, random_glsn
+from conftest import assert_no_child_and_mask, make_glsn, random_glsn
 from oracle import all_shortest_paths, glsn_betweenness_oracle, port_betweenness_oracle
 
 
@@ -240,7 +241,7 @@ class TestSharedPass:
             return bfs(view, s, *args, **kwargs)
 
         # a forked worker's calls would not reach this process's counter
-        monkeypatch.setattr(glsn.indices, "worker_count", lambda: 1)
+        monkeypatch.setattr(glsn.fork, "worker_count", lambda: 1)
         monkeypatch.setattr(glsn.indices, "_bfs", counted)
         g = _two_components_and_isolated(3)
         build_index_table(g, g)
@@ -584,12 +585,6 @@ def graph_and_serial(request):
     return g, _betweenness(g, L_VALUES, True, workers=1)
 
 
-def assert_no_child_and_mask(mask):
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert os.sched_getaffinity(0) == mask
-
-
 class TestForkedPass:
     """Sources interleaved over forked workers give the bits of one process,
     whatever the worker count, and leave no child and no CPU pin behind."""
@@ -643,17 +638,18 @@ class TestForkedPass:
 
     def test_worker_count_chooses_the_path(self, monkeypatch):
         forks = []
-        forked_blocks = glsn.indices._forked_blocks
+        run_parts = glsn.fork.run_parts
 
-        def counted(view, depth_cap, fb, workers):
-            forks.append(workers)
-            return forked_blocks(view, depth_cap, fb, workers)
+        def counted(fn, parts, take):
+            if len(parts) > 1:  # one part runs in this process, with no fork
+                forks.append(len(parts))
+            return run_parts(fn, parts, take)
 
         g = _golden_graph()
-        monkeypatch.setattr(glsn.indices, "_forked_blocks", counted)
+        monkeypatch.setattr(glsn.fork, "run_parts", counted)
         port_betweenness(g)
         for workers in [1, 3]:
-            monkeypatch.setattr(glsn.indices, "worker_count", lambda w=workers: w)
+            monkeypatch.setattr(glsn.fork, "worker_count", lambda w=workers: w)
             port_betweenness(g)
         cpus = len(os.sched_getaffinity(0))
         assert forks == ([cpus, 3] if cpus > 1 else [3])
