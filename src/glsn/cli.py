@@ -80,8 +80,8 @@ def _lmax_caps(raw: str) -> tuple[int, ...]:
         caps = tuple(int(x) for x in raw.split(","))
     except ValueError:
         caps = ()
-    if not caps or any(c not in L_VALUES for c in caps):
-        raise DataError(f"bad --lmax value {raw!r}: expected caps from {L_VALUES}")
+    if not caps or any(c not in L_VALUES for c in caps) or len(set(caps)) != len(caps):
+        raise DataError(f"bad --lmax value {raw!r}: expected distinct caps from {L_VALUES}")
     return caps
 
 
@@ -327,7 +327,7 @@ def cmd_gravity(run: Run) -> None:
     first_fit = None
     shared = shared_pairs(econ, bilateral, run.structure)
     for variant in run.variants:
-        assembly = assemble_pairs(econ, bilateral, variant, gb=gb, gc=table.gc, shared=shared)
+        assembly = assemble_pairs(shared, variant, gb=gb, gc=table.gc)
         for reason, count in sorted(assembly.excluded.items()):
             print(f"gravity {variant.value}: excluded {count} pairs ({reason})",
                   file=sys.stderr)

@@ -1,11 +1,12 @@
-"""OLS with AIC/adjusted-R2/VIF diagnostics, Pearson screening, and exhaustive
-best-subset selection.
+"""OLS with AIC/adjusted-R2/VIF diagnostics, Pearson correlation, and
+exhaustive best-subset selection.
 
 The selection protocol: fit every nonempty subset of the candidate variables,
 mark a model admissible when every VIF stays under the threshold, and pick the
 admissible model with the lowest AIC (ties: fewer variables, then variable
-names). Variables and the response are Z-score standardized by default; the
-gravity module fits in raw mode because it already works in log space.
+names). Fits take the design as given: the `regress` command Z-scores its
+variables and response with `standardize` first, and the gravity module fits
+in raw mode because it already works in log space.
 
 Fits use no BLAS or LAPACK, so every written digit is the same on every
 machine, CPU and memory layout: numpy does only elementwise vector arithmetic,
@@ -115,7 +116,6 @@ class DesignMatrix:
     x: np.ndarray  # (n_obs, n_vars), no intercept column
     response_name: str
     y: np.ndarray
-    standardized: bool = False
 
     def __post_init__(self):
         if self.x.ndim != 2 or self.y.ndim != 1:
@@ -140,7 +140,6 @@ class DesignMatrix:
             x=self.x[:, idx],
             response_name=self.response_name,
             y=self.y,
-            standardized=self.standardized,
         )
 
 
@@ -162,7 +161,6 @@ def standardize(design: DesignMatrix) -> DesignMatrix:
         x=x,
         response_name=design.response_name,
         y=y,
-        standardized=True,
     )
 
 
@@ -314,7 +312,7 @@ def _t_norm(nu: int) -> Decimal:
         return Decimal(nu).sqrt() * beta
 
 
-def _beta_series(nu: int, y, eps):
+def _beta_series(nu: int, y: Decimal) -> Decimal:
     """sum_n (a+b)_n / (a+1)_n y^n for a = 1/2, b = nu/2: I_y(a, b) over
     y^a (1-y)^b / (a B(a, b)) (A&S 26.5.4). Every term is positive; y <= 1/2."""
     total = term = 1
@@ -324,11 +322,11 @@ def _beta_series(nu: int, y, eps):
         n += 1
         total += term
         # the term ratio falls towards y; from 3/4 on, the rest is below 3 terms
-        if term <= eps and 4 * (nu + 1 + 2 * n) * y <= 9 + 6 * n:
+        if term <= _T_EPS and 4 * (nu + 1 + 2 * n) * y <= 9 + 6 * n:
             return total
 
 
-def _beta_cf(nu: int, x, eps):
+def _beta_cf(nu: int, x: Decimal) -> Decimal:
     """The continued fraction of I_x(a, b) over x^a (1-x)^b / (a B(a, b)) for
     a = nu/2, b = 1/2 (A&S 26.5.8), by the modified Lentz method; it converges
     fast for x < (a+1)/(a+b+2)."""
@@ -347,13 +345,13 @@ def _beta_cf(nu: int, x, eps):
         c = 1 + aa / c
         delta = d * c
         h *= delta
-        if abs(delta - 1) <= eps:
+        if abs(delta - 1) <= _T_EPS:
             return h
 
 
-def _t_tail(t, nu: int, density, eps):
+def _t_tail(t: Decimal, nu: int, density: Decimal) -> Decimal:
     """2 P(T > t) for t >= 0 and nu degrees of freedom, given the density at
-    t, in the arithmetic of t: floats, or decimals in the current context.
+    t, in the current decimal context.
 
     The tail is I_x(nu/2, 1/2) with x = nu/(nu+t^2) and 1-x = t^2/(nu+t^2),
     and x^(nu/2) (1-x)^(1/2) / B(nu/2, 1/2) is t times the density. For t^2
@@ -362,8 +360,8 @@ def _t_tail(t, nu: int, density, eps):
     t2 = t * t
     front = 2 * t * density
     if t2 <= min(nu, _T_SERIES_MAX_T2):
-        return 1 - front * _beta_series(nu, t2 / (nu + t2), eps)
-    return front * _beta_cf(nu, nu / (nu + t2), eps) / nu
+        return 1 - front * _beta_series(nu, t2 / (nu + t2))
+    return front * _beta_cf(nu, nu / (nu + t2)) / nu
 
 
 def _t_density(t: Decimal, nu: int, norm: Decimal) -> Decimal:
@@ -392,38 +390,24 @@ def _t_two_sided_p(t: float, dof: int) -> float:
         return 0.0
     with localcontext(_T_CONTEXT):
         t = abs(Decimal(t))
-        return float(_t_tail(t, dof, _t_density(t, dof, _t_norm(dof)), _T_EPS))
+        return float(_t_tail(t, dof, _t_density(t, dof, _t_norm(dof))))
 
 
-def _halley_step(t, nu: int, excess, density):
-    """Halley's step towards the root of tail(t) - target, from excess =
-    tail(t) - target: the tail's derivative is -2 density(t), its second
-    2 density(t) (nu+1) t / (nu+t^2)."""
-    newton = excess / (2 * density)
-    return newton / (1 - newton * (nu + 1) * t / (2 * (nu + t * t)))
-
-
+@functools.cache
 def _t_quantile_975(dof: int) -> float:
-    """The quantile of Student's t at the double 0.975, by Halley's method
-    (Newton's with the second derivative) on the two-sided tail: from a
-    Cornish-Fisher estimate in floats to a double's accuracy, then in
-    decimal arithmetic. For t > 0 the tail is convex and the steps converge
-    cubically: once a step is below 1e-12 t, what is left is about its cube."""
-    t = _Z975 + sum(g / dof**k for k, g in enumerate(_CORNISH_FISHER, 1))
-    target = 2 * (1 - 0.975)  # exact in floats
+    """The quantile of Student's t at the double 0.975, once per dof: Halley's
+    method (Newton's with the second derivative) on the two-sided tail in
+    decimal arithmetic, from a Cornish-Fisher estimate. The tail's derivative
+    is -2 density(t), its second 2 density(t) (dof+1) t / (dof+t^2). For t > 0
+    the tail is convex and the steps converge cubically: once a step is below
+    1e-12 t, what is left is about its cube."""
     with localcontext(_T_CONTEXT):
-        norm = _t_norm(dof)
-        norm_float = float(norm)
-        while True:
-            density = math.exp(math.log1p(t * t / dof) * (dof + 1) / -2) / norm_float
-            step = _halley_step(t, dof, _t_tail(t, dof, density, 1e-15) - target, density)
-            t += step
-            if abs(step) <= 1e-12 * t:
-                break
-        t, target = Decimal(t), 2 * (1 - Decimal(0.975))
+        norm, target = _t_norm(dof), 2 * (1 - Decimal(0.975))
+        t = Decimal(_Z975 + sum(g / dof**k for k, g in enumerate(_CORNISH_FISHER, 1)))
         while True:
             density = _t_density(t, dof, norm)
-            step = _halley_step(t, dof, _t_tail(t, dof, density, _T_EPS) - target, density)
+            newton = (_t_tail(t, dof, density) - target) / (2 * density)
+            step = newton / (1 - newton * (dof + 1) * t / (2 * (dof + t * t)))
             t += step
             if abs(step) <= 1e-12 * float(t):
                 return float(t)
@@ -479,7 +463,7 @@ class _Walk:
 
     What every subset shares is computed once: each candidate's mean,
     centered column, squared norm and Veltkamp halves, the centered response
-    and its TSS, and the t critical value per degree of freedom."""
+    and its TSS."""
 
     def __init__(self, design: DesignMatrix):
         self.names = design.variables
@@ -493,7 +477,6 @@ class _Walk:
         self.y_mean = _mean(design.y)
         self.y_centered = design.y - self.y_mean
         self.tss = _dot(self.y_centered, self.y_centered)
-        self._tcrit: dict[int, float] = {}
 
     def root(self, order) -> _Node:
         """The empty subset, whose children take the candidates in order."""
@@ -572,11 +555,6 @@ class _Walk:
                 reports.extend(map(self.report, self.subtree(node, max_size)))
         return reports
 
-    def tcrit(self, dof: int) -> float:
-        if dof not in self._tcrit:
-            self._tcrit[dof] = _t_quantile_975(dof)
-        return self._tcrit[dof]
-
     def report(self, node: _Node) -> RegressionReport:
         """The least-squares fit of y on the node's columns plus intercept."""
         n, k_vars = self.n, len(node.cols)
@@ -611,7 +589,7 @@ class _Walk:
         ses = [math.sqrt(max(sigma2 * d, 0.0)) for d in diag]
         vifs = _vif_values([self.norms2[c] for c in node.cols], row_ss)
         fit = [r2, adjusted_r2_value(r2, n, k_vars), aic_value(n, rss, k_params), rss,
-               self.tcrit(dof)]
+               _t_quantile_975(dof)]
         return RegressionReport(
             variables=variables,
             n_obs=n,
@@ -652,8 +630,8 @@ def vif(design: DesignMatrix) -> dict[str, float]:
     return dict(zip(design.variables, _vif_values(walk.norms2, row_ss)))
 
 
-def _pearson_r(x: np.ndarray, y: np.ndarray) -> float:
-    """Sample Pearson correlation, without its p-value."""
+def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
+    """Sample Pearson correlation."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 3:
@@ -664,16 +642,6 @@ def _pearson_r(x: np.ndarray, y: np.ndarray) -> float:
     if sxx == 0 or syy == 0:
         raise DataError("pearson is undefined for constant input")
     return min(max(_dot(xc, yc) / (math.sqrt(sxx) * math.sqrt(syy)), -1.0), 1.0)
-
-
-def pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Sample Pearson correlation with two-sided p-value via the t-transform."""
-    r = _pearson_r(x, y)
-    dof = len(x) - 2
-    if abs(r) == 1.0:
-        return r, 0.0
-    t = r * math.sqrt(dof / (1.0 - r * r))
-    return r, _t_two_sided_p(t, dof)
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,7 +25,9 @@ from .indices import country_connectivity, glsn_betweenness
 from .model import BilateralRecord, CountryEcon, DataError, Port, ServiceRoute
 
 GRAVITY_TRUTH = (-30.0, 0.8, -1.1)  # (b0, b1, b2)
+GRAVITY_NOISE_SD = 0.2  # of ln(btv)
 TRADE_TRUTH = (0.6, 0.3)  # coefficients on z(gc), z(gb_l2)
+TRADE_NOISE_SD = 0.05  # of country trade value, in units of 1e9
 
 
 @dataclass
@@ -48,13 +50,17 @@ def generate(
     n_countries: int = 6,
     n_ports: int = 30,
     n_routes: int = 12,
-    trade_noise_sd: float = 0.05,
-    gravity_noise_sd: float = 0.2,
 ) -> SyntheticDataset:
     if n_countries < 2:
         raise DataError("need at least 2 countries for international routes")
+    if n_countries > 26**3:
+        raise DataError(f"at most {26**3} countries have three-letter codes, got {n_countries}")
     if n_ports < n_countries:
         raise DataError("need at least one port per country")
+    if n_routes < 0:
+        raise DataError(f"need a route count of at least 0, got {n_routes}")
+    if n_routes > 0 and n_ports < 3:
+        raise DataError("need at least 3 ports for a route")
     rng = np.random.default_rng(seed)
 
     codes = ["".join(chr(65 + (i // 26**k) % 26) for k in (2, 1, 0)) for i in range(n_countries)]
@@ -82,7 +88,7 @@ def generate(
 
     a_gc, a_gb = TRADE_TRUTH
     trade = 1e9 * (
-        10.0 + a_gc * z_gc + a_gb * z_gb + rng.normal(0, trade_noise_sd, n_countries)
+        10.0 + a_gc * z_gc + a_gb * z_gb + rng.normal(0, TRADE_NOISE_SD, n_countries)
     )
     export_share = rng.uniform(0.4, 0.6, n_countries)
     gdp = 1e9 * np.exp(rng.normal(3.0, 0.5, n_countries))
@@ -118,7 +124,7 @@ def generate(
             b0
             + b1 * np.log(ei.gdp_usd * ej.gdp_usd)
             + b2 * np.log(d)
-            + rng.normal(0, gravity_noise_sd)
+            + rng.normal(0, GRAVITY_NOISE_SD)
         )
         raw_pairs.append((ci, cj, float(np.exp(ln_btv)), float(np.round(rng.uniform(0.1, 1.0), 4))))
 

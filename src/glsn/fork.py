@@ -58,18 +58,15 @@ def run_parts(fn: Callable[[P], R], parts: Sequence[P], take: Callable[[R], None
     """Call take(fn(part)) for every part, in part order, with parts 1.. run
     in forked children.
 
-    When there is one part per CPU of this process's mask, each process is
-    pinned to its own CPU, this one to the first, and this process's mask is
-    restored afterwards: left to itself, the scheduler of a 2-vCPU VM was seen
-    to keep both processes on one CPU. With fewer parts, the scheduler places
-    them. Every child is reaped before this returns or raises, and killed
-    first if the call failed.
+    When there are two or more parts, one per CPU of this process's mask,
+    each process is pinned to its own CPU, this one to the first, and this
+    process's mask is restored afterwards: left to itself, the scheduler of a
+    2-vCPU VM was seen to keep both processes on one CPU. Otherwise the
+    scheduler places them. Every child is reaped before this returns or
+    raises, and killed first if the call failed.
     """
-    if len(parts) == 1:
-        take(fn(parts[0]))
-        return
     mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
-    pin = len(mask) == len(parts)
+    pin = 1 < len(parts) == len(mask)
     cpus = sorted(mask)
     children: list[tuple[int, BinaryIO]] = []
     done = False

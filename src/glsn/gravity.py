@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .econometrics import DesignMatrix, RegressionReport, _pearson_r, ols_fit
+from .econometrics import DesignMatrix, RegressionReport, ols_fit, pearson_r
 from .graph import Glsn
 from .model import BilateralRecord, CountryEcon, DataError
 
@@ -107,13 +107,13 @@ class SharedPairs(PairAssembly):
 
 
 def shared_pairs(
-    econ: list[CountryEcon], bilateral: list[BilateralRecord], glsn: Glsn | None = None
+    econ: list[CountryEcon], bilateral: list[BilateralRecord], glsn: Glsn
 ) -> SharedPairs:
     """The pairs whose countries are directly connected in the port graph,
     with both GDPs and capitals present, positive trade and positive
     distance, in pair order, each exclusion counted by reason."""
     by_code = {e.country_code: e for e in econ}
-    connected = country_adjacency(glsn) if glsn is not None else None
+    connected = country_adjacency(glsn)
     out = SharedPairs()
     for rec in sorted(bilateral, key=lambda r: r.pair):
         ci, cj = rec.pair
@@ -121,7 +121,7 @@ def shared_pairs(
         if ei is None or ej is None:
             out._exclude("no_econ_record")
             continue
-        if connected is not None and (ci, cj) not in connected:
+        if (ci, cj) not in connected:
             out._exclude("not_directly_connected")
             continue
         if rec.btv_usd <= 0:
@@ -151,27 +151,21 @@ def shared_pairs(
 
 
 def assemble_pairs(
-    econ: list[CountryEcon],
-    bilateral: list[BilateralRecord],
+    shared: SharedPairs,
     variant: GravityVariant,
-    glsn: Glsn | None = None,
     gb: dict[str, float] | None = None,
     gc: dict[str, float] | None = None,
-    shared: SharedPairs | None = None,
 ) -> PairAssembly:
     """Build the log-space sample for a variant, reporting each exclusion.
 
-    A pair enters only when it passes `shared_pairs` and the variant's extra
-    regressors are available and positive. A caller that builds several
-    variants passes `shared_pairs(econ, bilateral, glsn)` as `shared`, so
-    that those checks run once.
+    A pair enters only when it is in `shared` (see `shared_pairs`, built once
+    for every variant) and the variant's extra regressors are available and
+    positive.
     """
     if variant.uses_gb and gb is None:
         raise DataError("gb index values required for this variant")
     if variant.uses_gc and gc is None:
         raise DataError("gc index values required for this variant")
-    if shared is None:
-        shared = shared_pairs(econ, bilateral, glsn)
     out = PairAssembly(excluded=dict(shared.excluded))
     if variant is GravityVariant.BASE:
         out.samples = list(shared.samples)
@@ -256,7 +250,7 @@ def estimate_country_trade(
             est[c] = est.get(c, 0.0) + pred
             emp[c] = emp.get(c, 0.0) + obs
     codes = sorted(est)
-    r = _pearson_r(np.array([emp[c] for c in codes]), np.array([est[c] for c in codes]))
+    r = pearson_r(np.array([emp[c] for c in codes]), np.array([est[c] for c in codes]))
     # r^2 adjusted for the single implicit regressor
     n = len(codes)
     adj = 1.0 - (1.0 - r * r) * (n - 1) / (n - 2)

@@ -212,21 +212,19 @@ def _merge(buckets: dict[tuple[int, int], dict[int, int]], part_buckets) -> None
 
 
 def _betweenness(
-    g: Glsn, l_values: tuple[int, ...], fb: bool, workers: int | None = None
+    g: Glsn, l_values: tuple[int, ...], fb: bool
 ) -> tuple[dict[int, dict[str, Fraction]], dict[str, float] | None]:
     """Exact gb per cap in l_values and, with fb, port betweenness (else None).
 
-    The sources are interleaved over `workers` processes (by default
-    `fork.worker_count()`), worker i taking sources i, i + workers, ...; each
-    block's counters are merged as it arrives and its dep rows kept. A cap's
-    total sums delta/n_st exactly over the keys within it, as integers over
-    the lcm of all n_st: one Fraction per country and cap.
+    The sources are interleaved over `fork.worker_count()` processes, at least
+    one and at most one per port, worker i taking sources i, i + workers, ...;
+    each block's counters are merged as it arrives and its dep rows kept. A
+    cap's total sums delta/n_st exactly over the keys within it, as integers
+    over the lcm of all n_st: one Fraction per country and cap.
     """
     view = g.int_view
     n = len(view.adj)
-    if workers is None:
-        workers = fork.worker_count()
-    workers = min(workers, n)
+    workers = max(1, min(fork.worker_count(), n))
     depth_cap = max(l_values, default=0)
     buckets: dict[tuple[int, int], dict[int, int]] = {}
     parts: list[array] = []

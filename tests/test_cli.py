@@ -50,6 +50,24 @@ class TestGenFixture:
                     "--out", tmp_path]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, needle", [
+        (["--n-routes", "-1"], "route count"),
+        (["--n-ports", "2", "--n-countries", "2"], "3 ports"),
+        (["--n-countries", "17577"], "three-letter codes"),
+    ])
+    def test_bad_size_exits_1_with_one_error_line(self, tmp_path, capsys, flags, needle):
+        out = tmp_path / "out"
+        assert run(["gen-fixture", "--seed", "1", *flags, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+        assert not out.exists()
+
+    def test_two_ports_and_no_routes(self, tmp_path):
+        assert run(["gen-fixture", "--seed", "1", "--n-ports", "2", "--n-countries", "2",
+                    "--n-routes", "0", "--out", tmp_path]) == 0
+        assert (tmp_path / "routes.csv").read_text().count("\n") == 1
+
 
 class TestBuild:
     def test_fixture_stats(self, tmp_path):
@@ -320,6 +338,7 @@ class TestRunChecks:
         (["--candidates", "gc,gc"], "--candidates"),
         (["--vif-threshold", "1"], "--vif-threshold"),
         (["--coverage", "2"], "--coverage"),
+        (["--lmax", "2,2"], "'2,2'"),
     ])
     def test_bad_flag_exits_1_before_any_work(self, tmp_path, capsys, flags, needle):
         out = tmp_path / "out"

@@ -95,3 +95,11 @@ class TestWorkerCount:
 
     def test_default_is_the_cpus_of_the_mask(self):
         assert worker_count() == len(os.sched_getaffinity(0))
+
+    def test_follows_a_narrower_mask(self):
+        mask = os.sched_getaffinity(0)
+        try:
+            os.sched_setaffinity(0, {min(mask)})
+            assert worker_count() == 1
+        finally:
+            os.sched_setaffinity(0, mask)

@@ -13,6 +13,7 @@ from glsn.gravity import (
     fit_gravity,
     great_circle_km,
     predict_ln_btv,
+    shared_pairs,
 )
 from glsn.model import BilateralRecord, CountryEcon, DataError
 
@@ -72,7 +73,7 @@ def _world():
 class TestAssemblePairs:
     def test_pair_without_direct_connection_excluded(self):
         g, econ, bilateral = _world()
-        out = assemble_pairs(econ, bilateral, GravityVariant.BASE, glsn=g)
+        out = assemble_pairs(shared_pairs(econ, bilateral, g), GravityVariant.BASE)
         pairs = {(s.country_i, s.country_j) for s in out.samples}
         assert ("XXX", "ZZZ") not in pairs
         assert out.excluded["not_directly_connected"] == 1
@@ -80,14 +81,14 @@ class TestAssemblePairs:
     def test_gb_zero_excluded_under_gb_variant(self):
         g, econ, bilateral = _world()
         gb = {"XXX": 1.0, "YYY": 0.0, "ZZZ": 2.0}
-        out = assemble_pairs(econ, bilateral, GravityVariant.GB, glsn=g, gb=gb)
+        out = assemble_pairs(shared_pairs(econ, bilateral, g), GravityVariant.GB, gb=gb)
         assert out.samples == []
         assert out.excluded["nonpositive_gb"] == 2
 
     def test_complete_pair_has_all_logs(self):
         g, econ, bilateral = _world()
         gb = {"XXX": 1.0, "YYY": 2.0, "ZZZ": 3.0}
-        out = assemble_pairs(econ, bilateral, GravityVariant.LSBCI_GB, glsn=g, gb=gb)
+        out = assemble_pairs(shared_pairs(econ, bilateral, g), GravityVariant.LSBCI_GB, gb=gb)
         (s,) = out.samples
         assert (s.country_i, s.country_j) == ("XXX", "YYY")
         assert s.ln_lsbci == pytest.approx(math.log(0.5))
@@ -99,7 +100,7 @@ class TestAssemblePairs:
     def test_missing_capital_excluded(self):
         g, econ, bilateral = _world()
         econ[0] = CountryEcon("XXX", trade_value_usd=300, gdp_usd=1e9)
-        out = assemble_pairs(econ, bilateral, GravityVariant.BASE, glsn=g)
+        out = assemble_pairs(shared_pairs(econ, bilateral, g), GravityVariant.BASE)
         assert out.excluded.get("missing_capital") == 1
 
 

@@ -10,7 +10,6 @@ import glsn.fork
 import glsn.indices
 from glsn.fixture import generate
 from glsn.graph import Glsn, WeightScheme, build_glsn
-from glsn.fork import worker_count
 from glsn.indices import (
     L_VALUES,
     _betweenness,
@@ -575,6 +574,13 @@ def _fixture_graph(seed, n_ports, n_routes, n_countries):
     return build_glsn(ds.routes, ds.ports, WeightScheme.UNWEIGHTED)
 
 
+def _at(workers, g, l_values, fb):
+    """`_betweenness` with `workers` forced through `fork.worker_count`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(glsn.fork, "worker_count", lambda: workers)
+        return _betweenness(g, l_values, fb)
+
+
 @pytest.fixture(scope="module", params=[
     "golden", *((s, 300, 100, 30) for s in range(55, 60)), (11, 1000, 300, 60),
 ], ids=str)
@@ -582,7 +588,7 @@ def graph_and_serial(request):
     """One graph, the golden one or a generated one, with its one-process gb
     and port betweenness."""
     g = _golden_graph() if request.param == "golden" else _fixture_graph(*request.param)
-    return g, _betweenness(g, L_VALUES, True, workers=1)
+    return g, _at(1, g, L_VALUES, True)
 
 
 class TestForkedPass:
@@ -593,7 +599,7 @@ class TestForkedPass:
     def test_same_bits_as_one_process(self, graph_and_serial, workers):
         g, (gb, b) = graph_and_serial
         mask = os.sched_getaffinity(0)
-        split_gb, split_b = _betweenness(g, L_VALUES, True, workers=workers)
+        split_gb, split_b = _at(workers, g, L_VALUES, True)
         assert split_gb == gb
         assert repr(split_b) == repr(b)
         assert_no_child_and_mask(mask)
@@ -604,16 +610,22 @@ class TestForkedPass:
         g = _golden_graph()
         assert len(g.country_of) == 30
         mask = os.sched_getaffinity(0)
-        assert _betweenness(g, (2, 4), True, workers=workers) == _betweenness(
-            g, (2, 4), True, workers=1)
-        assert _betweenness(g, (3,), False, workers=workers) == _betweenness(
-            g, (3,), False, workers=1)
+        assert _at(workers, g, (2, 4), True) == _at(1, g, (2, 4), True)
+        assert _at(workers, g, (3,), False) == _at(1, g, (3,), False)
         assert_no_child_and_mask(mask)
+
+    def test_no_ports(self):
+        # no source to deal out still makes one empty block
+        g = Glsn(WeightScheme.UNWEIGHTED, {}, {})
+        assert port_betweenness(g) == {}
+        assert glsn_betweenness_exact(g) == {l: {} for l in L_VALUES}
+        table = build_index_table(g, g)
+        assert table.countries() == [] and table.fb == {}
+        assert table.gb == {l: {} for l in L_VALUES}
 
     def test_more_workers_than_ports(self, chain_graph):
         mask = os.sched_getaffinity(0)
-        assert _betweenness(chain_graph, L_VALUES, True, workers=5) == _betweenness(
-            chain_graph, L_VALUES, True, workers=1)
+        assert _at(5, chain_graph, L_VALUES, True) == _at(1, chain_graph, L_VALUES, True)
         assert_no_child_and_mask(mask)
 
     @pytest.mark.parametrize("failing, raised", [(1, RuntimeError), (0, ZeroDivisionError)])
@@ -631,7 +643,7 @@ class TestForkedPass:
         g = _golden_graph()
         mask = os.sched_getaffinity(0)
         with pytest.raises(raised):
-            _betweenness(g, L_VALUES, True, workers=2)
+            _at(2, g, L_VALUES, True)
         assert_no_child_and_mask(mask)
         if failing == 1:
             assert "ZeroDivisionError: planted" in capfd.readouterr().err
@@ -653,37 +665,3 @@ class TestForkedPass:
             port_betweenness(g)
         cpus = len(os.sched_getaffinity(0))
         assert forks == ([cpus, 3] if cpus > 1 else [3])
-
-    def test_pins_only_one_worker_per_cpu(self, monkeypatch):
-        # this process is pinned to the first CPU for the pass and its mask
-        # restored; with more workers than CPUs, no process is pinned
-        mask = os.sched_getaffinity(0)
-        g = _golden_graph()
-        if len(mask) >= len(g.country_of):
-            pytest.skip("more CPUs than the graph has ports")
-        calls = []
-        setaffinity = os.sched_setaffinity
-
-        def recorded(pid, cpus):
-            calls.append(set(cpus))
-            setaffinity(pid, cpus)
-
-        monkeypatch.setattr(os, "sched_setaffinity", recorded)
-        _betweenness(g, L_VALUES, True, workers=len(mask) + 1)
-        assert calls == []
-        _betweenness(g, L_VALUES, True, workers=len(mask))
-        assert calls == ([{min(mask)}, mask] if len(mask) > 1 else [])
-        assert_no_child_and_mask(mask)
-
-
-class TestWorkerCount:
-    def test_default_is_the_cpus_of_the_mask(self):
-        assert worker_count() == len(os.sched_getaffinity(0))
-
-    def test_follows_a_narrower_mask(self):
-        mask = os.sched_getaffinity(0)
-        try:
-            os.sched_setaffinity(0, {min(mask)})
-            assert worker_count() == 1
-        finally:
-            os.sched_setaffinity(0, mask)
