@@ -6,18 +6,19 @@ reproducible from its outputs. With a fixed seed and fixed inputs the output
 directory is byte-identical across runs, CPUs and BLAS/LAPACK builds.
 
 Each invocation is one run: flags are checked before any file is read or
-written, and the dataset, the graphs and the index table are computed at most
-once, on first use, however many outputs are written from them.
+written, each input file is read once, and the dataset, the port graph and
+the index table are computed at most once, on first use, however many outputs
+are written from them.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import sys
-from contextlib import ExitStack
 from functools import cached_property
 from pathlib import Path
 
@@ -33,7 +34,6 @@ from .gravity import (
     coverage_filter,
     estimate_country_trade,
     fit_gravity,
-    predict_ln_btv,
     shared_pairs,
 )
 from .indices import L_VALUES, CountryIndexTable, build_index_table
@@ -95,44 +95,20 @@ def _names(raw: str, known, flag: str) -> list[str]:
     return names
 
 
-def _parse(parse, *paths: str):
-    """Parse the files at `paths`, opened as binary streams, with `parse`."""
-    try:
-        with ExitStack() as stack:
-            return parse(*(stack.enter_context(open(p, "rb")) for p in paths))
-    except OSError as exc:
-        raise DataError(f"cannot read {exc.filename}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{', '.join(paths)}: not UTF-8 text ({exc.reason})") from None
-
-
-def _load_dataset(args: argparse.Namespace):
-    if Path(args.routes).suffix == ".json":
-        routes = _parse(parse_routes_json, args.routes)
-    else:
-        routes = _parse(parse_routes, *filter(None, (args.routes, args.routes_meta)))
-    ports = _parse(parse_ports, args.ports)
-    econ = _parse(parse_country_econ, args.countries) if args.countries else None
-    bilateral = _parse(parse_bilateral, args.bilateral) if args.bilateral else None
-    report = validate_dataset(routes, ports, econ, bilateral, strict=args.strict)
-    for line in report.summary_lines():
-        print(f"validation: {line}", file=sys.stderr)
-    if not report.retained:
-        raise DataError("no retained routes after validation")
-    return report.retained, ports, econ, bilateral
-
-
 class Run:
     """One invocation: its checked flags and the stages computed from its inputs.
 
     Every flag is checked on construction, before any file is read or written.
-    The dataset, graphs, index table, output header and output directory are
-    each computed on first use and then shared, so `report` computes them
-    once and `build` never computes indices.
+    Each input file is read once, so the parsers and the header's hashes see
+    the same bytes, even from a pipe. The dataset, port graph, index table,
+    output header and output directory are each computed on first use and
+    then shared, so `report` computes them once and `build` never computes
+    indices.
     """
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
+        self.inputs: dict[str, bytes] = {}  # path -> the bytes read from it
         flags = vars(args)
         if flags.get("routes_meta") and Path(args.routes).suffix == ".json":
             raise DataError("--routes-meta applies to CSV routes only; JSON routes carry "
@@ -155,35 +131,60 @@ class Run:
             if not args.bilateral:
                 raise DataError("--bilateral is required for gravity")
 
+    def read(self, path: str) -> bytes:
+        """The bytes of an input file, read on first use."""
+        if path not in self.inputs:
+            try:
+                with open(path, "rb") as f:
+                    self.inputs[path] = f.read()
+            except OSError as exc:
+                raise DataError(f"cannot read {exc.filename}: {exc.strerror}") from None
+        return self.inputs[path]
+
+    def parse(self, parser, *paths: str):
+        """Parse the files at `paths`, each read once, with `parser`."""
+        streams = [io.BytesIO(self.read(p)) for p in paths]
+        try:
+            return parser(*streams)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{', '.join(paths)}: not UTF-8 text ({exc.reason})") from None
+
     @cached_property
     def dataset(self):
         """(retained routes, ports, econ or None, bilateral or None)."""
-        return _load_dataset(self.args)
+        args = self.args
+        if Path(args.routes).suffix == ".json":
+            routes = self.parse(parse_routes_json, args.routes)
+        else:
+            routes = self.parse(parse_routes, *filter(None, (args.routes, args.routes_meta)))
+        ports = self.parse(parse_ports, args.ports)
+        econ = self.parse(parse_country_econ, args.countries) if args.countries else None
+        bilateral = self.parse(parse_bilateral, args.bilateral) if args.bilateral else None
+        report = validate_dataset(routes, ports, econ, strict=args.strict)
+        for line in report.summary_lines():
+            print(f"validation: {line}", file=sys.stderr)
+        if not report.retained:
+            raise DataError("no retained routes after validation")
+        return report.retained, ports, econ, bilateral
 
     @cached_property
-    def structure(self) -> Glsn:
+    def graph(self) -> Glsn:
+        """The port graph under --weighting. Betweenness and the gravity
+        adjacency read only its edges, which every scheme shares."""
         routes, ports, _, _ = self.dataset
-        return build_glsn(routes, ports, WeightScheme.UNWEIGHTED)
-
-    @cached_property
-    def weighted(self) -> Glsn:
-        scheme = SCHEME_NAMES[self.args.weighting]
-        if scheme is WeightScheme.UNWEIGHTED:
-            return self.structure
-        routes, ports, _, _ = self.dataset
-        return build_glsn(routes, ports, scheme)
+        return build_glsn(routes, ports, SCHEME_NAMES[self.args.weighting])
 
     @cached_property
     def table(self) -> CountryIndexTable:
         econ = self.dataset[2]
         lsci = {e.country_code: e.lsci for e in econ} if econ else {}
-        return build_index_table(self.weighted, self.structure, self.lmax, lsci)
+        return build_index_table(self.graph, self.graph, self.lmax, lsci)
 
     @cached_property
     def header(self) -> str:
         lines = [f"# glsn {__version__}", f"# config_hash {_config_hash(self.args)}"]
         for path in filter(None, (getattr(self.args, name) for name in INPUTS)):
-            digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            digest = hashlib.sha256(self.read(path)).hexdigest()
             lines.append(f"# input {Path(path).name} sha256 {digest}")
         return "\n".join(lines) + "\n"
 
@@ -201,7 +202,7 @@ class Run:
 
 
 def cmd_build(run: Run) -> None:
-    g = run.weighted
+    g = run.graph
     stats = graph_stats(g)
     run.write_csv(f"edges_{g.scheme.value}.csv", ["port_u", "port_v", "weight"],
                   edge_list_rows(g))
@@ -325,7 +326,7 @@ def cmd_gravity(run: Run) -> None:
 
     report_rows = []
     first_fit = None
-    shared = shared_pairs(econ, bilateral, run.structure)
+    shared = shared_pairs(econ, bilateral, run.graph)
     for variant in run.variants:
         assembly = assemble_pairs(shared, variant, gb=gb, gc=table.gc)
         for reason, count in sorted(assembly.excluded.items()):
@@ -340,16 +341,14 @@ def cmd_gravity(run: Run) -> None:
                   report_rows)
 
     variant, fit, samples = first_fit
+    estimate = estimate_country_trade(fit, samples, variant)
     run.write_csv(
         "pair_predictions.csv",
         ["country_i", "country_j", "ln_btv_emp", "ln_btv_pred"],
-        [
-            [s.country_i, s.country_j, s.ln_btv, predict_ln_btv(fit, s, variant)]
-            for s in samples
-        ],
+        [[s.country_i, s.country_j, s.ln_btv, ln_pred]
+         for s, ln_pred in zip(samples, estimate.ln_predicted)],
     )
     retained, excluded = coverage_filter(econ, bilateral, run.args.coverage)
-    estimate = estimate_country_trade(fit, samples, variant)
     run.write_csv(
         "country_estimates.csv",
         ["country_code", "empirical_btv_sum", "estimated_btv_sum", "covered"],

@@ -35,11 +35,12 @@ of a subset's fit therefore comes from the same operations, in the same order,
 as a fit of that subset alone: the walk's table equals per-subset fits bit for
 bit. `ols_fit` and `vif` run the same column step along a single chain.
 
-The root's subtrees are independent, so from _FORK_MIN_SUBSETS subsets on
-the walk is cut into pieces and split over the forked workers of
-`fork.run_parts`, as the gb/fb pass splits its sources. Each worker returns
-its fits and the table is sorted into canonical order, so any worker count
-gives the same table, bit for bit.
+From _FORK_MIN_SUBSETS subsets on, the walk's depth-first order is cut into
+equal contiguous ranges, one per forked worker of `fork.run_parts`, as the
+gb/fb pass splits its sources. A worker extends only the nodes of its range
+and their ancestors, so each subset is still reached by the same chain of
+column steps. Each worker returns its fits and the table is sorted into
+canonical order, so any worker count gives the same table, bit for bit.
 
 The t critical value and the p-values come from Student's t for integer
 degrees of freedom, computed in `decimal` at 40 digits with only + - * / and
@@ -418,11 +419,6 @@ def _check_dof(n: int, k_params: int) -> None:
         raise DataError(f"need more than {k_params} observations, got {n}")
 
 
-# A piece of the walk: the pending positions from the root to a node, and
-# whether its subtree comes with it (see _Walk.fit_pieces).
-_Piece = tuple[tuple[int, ...], bool]
-
-
 class _Node(NamedTuple):
     """One subset: its columns in walk order, the QR of their centered
     values, and Gram-Schmidt's first pass of every vector a child or the fit
@@ -532,28 +528,22 @@ class _Walk:
             node = self.extend(node, 0)
         return node
 
-    def subtree(self, node: _Node, max_size: int):
-        """Every descendant of node with at most max_size columns, depth first."""
+    def subtree(self, node: _Node, max_size: int, lo: int = 0, hi: float = math.inf):
+        """The descendants of node with at most max_size columns that are
+        numbered lo to hi - 1 in depth-first order, counting from 0. A child
+        whose whole subtree lies outside that range is not extended."""
+        free = max_size - len(node.cols) - 1  # room below each child
         for at in range(len(node.pending)):
-            child = self.extend(node, at)
-            yield child
-            if len(child.cols) < max_size:
-                yield from self.subtree(child, max_size)
-
-    def fit_pieces(self, order, max_size: int, pieces: list[_Piece]) -> list[RegressionReport]:
-        """The fits of the pieces' subsets. A piece (path, whole) is the node
-        reached from the root with candidates in order by extending at each
-        pending position of path, and when whole its subtree too."""
-        root = self.root(order)
-        reports = []
-        for path, whole in pieces:
-            node = root
-            for at in path:
-                node = self.extend(node, at)
-            reports.append(self.report(node))
-            if whole and len(node.cols) < max_size:
-                reports.extend(map(self.report, self.subtree(node, max_size)))
-        return reports
+            if hi <= 0:
+                return
+            size = _subtree_size(len(node.pending) - at - 1, free)
+            if lo < size:
+                child = self.extend(node, at)
+                if lo <= 0:
+                    yield child
+                if free > 0:
+                    yield from self.subtree(child, max_size, lo - 1, hi - 1)
+            lo, hi = lo - size, hi - size
 
     def report(self, node: _Node) -> RegressionReport:
         """The least-squares fit of y on the node's columns plus intercept."""
@@ -658,44 +648,12 @@ class SelectionResult:
     vif_threshold: float
 
 
+@functools.cache
 def _subtree_size(pending: int, free: int) -> int:
     """Subsets in the subtree of a walk node, the node included, when it has
-    `pending` later candidates and room for `free` more columns."""
+    `pending` later candidates and room for `free` more columns. Cached: a
+    range of the walk asks for it once per child it passes."""
     return sum(math.comb(pending, j) for j in range(min(pending, free) + 1))
-
-
-def _deal(k: int, max_size: int, workers: int) -> list[list[_Piece]]:
-    """The walk over k candidates, subsets of up to max_size columns, cut
-    into pieces (see `_Walk.fit_pieces`) and dealt to at most `workers` parts.
-
-    The pieces start as the root's subtrees; the one at pending position i
-    holds 2^(k-1-i) subsets when every size fits. While the largest piece
-    holds more than a worker's share, it is split one level deeper, into its
-    node alone and its children's subtrees. The pieces then go largest first,
-    in walk order among equals, each to the least loaded part."""
-
-    def size(piece) -> int:
-        path, whole = piece
-        return _subtree_size(k - len(path) - sum(path), max_size - len(path)) if whole else 1
-
-    pieces = [((i,), True) for i in range(k)]
-    share = -(-sum(map(size, pieces)) // workers)
-    while True:
-        largest = max(pieces, key=size)
-        if size(largest) <= share:
-            break
-        path = largest[0]
-        at = pieces.index(largest)
-        pieces[at:at + 1] = [(path, False)] + [
-            (path + (j,), True) for j in range(k - len(path) - sum(path))
-        ]
-    parts: list[list[_Piece]] = [[] for _ in range(workers)]
-    loads = [0] * workers
-    for piece in sorted(pieces, key=size, reverse=True):
-        i = loads.index(min(loads))
-        parts[i].append(piece)
-        loads[i] += size(piece)
-    return [part for part in parts if part]
 
 
 def select_model(
@@ -717,18 +675,19 @@ def select_model(
     results = []
     if first_unfit > 1:
         walk = _Walk(design)
-        order = sorted(range(k), key=design.variables.__getitem__)
+        root = walk.root(sorted(range(k), key=design.variables.__getitem__))
         max_size = min(k, first_unfit - 1)
         fits = _subtree_size(k, max_size) - 1  # the root is the empty subset
-        workers = fork.worker_count() if fits >= _FORK_MIN_SUBSETS else 1
+        w = min(fork.worker_count(), fits) if fits >= _FORK_MIN_SUBSETS else 1
 
         def take(reports):
             results.extend(SubsetResult(variables=r.variables, report=r,
                                         admissible=r.max_vif < vif_threshold)
                            for r in reports)
 
-        fork.run_parts(lambda pieces: walk.fit_pieces(order, max_size, pieces),
-                       _deal(k, max_size, workers), take)
+        fork.run_parts(
+            lambda part: [walk.report(node) for node in walk.subtree(root, max_size, *part)],
+            [(fits * i // w, fits * (i + 1) // w) for i in range(w)], take)
     if k >= first_unfit:
         _check_dof(n, first_unfit + 1)
     results.sort(key=lambda r: (len(r.variables), r.variables))

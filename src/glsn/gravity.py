@@ -228,6 +228,7 @@ def predict_ln_btv(
 
 @dataclass(frozen=True)
 class TradeEstimate:
+    ln_predicted: list[float]  # predicted ln(trade) of each sample, in sample order
     estimated: dict[str, float]  # country -> sum of predicted bilateral trade
     empirical: dict[str, float]  # country -> sum of observed bilateral trade
     pearson_r: float
@@ -241,10 +242,11 @@ def estimate_country_trade(
 ) -> TradeEstimate:
     """Country totals from exp of predicted ln(trade), summed over a country's
     included pairs; no log-normal correction is applied."""
+    ln_predicted = [predict_ln_btv(report, s, variant) for s in samples]
     est: dict[str, float] = {}
     emp: dict[str, float] = {}
-    for s in samples:
-        pred = math.exp(predict_ln_btv(report, s, variant))
+    for s, ln_pred in zip(samples, ln_predicted):
+        pred = math.exp(ln_pred)
         obs = math.exp(s.ln_btv)
         for c in (s.country_i, s.country_j):
             est[c] = est.get(c, 0.0) + pred
@@ -254,7 +256,8 @@ def estimate_country_trade(
     # r^2 adjusted for the single implicit regressor
     n = len(codes)
     adj = 1.0 - (1.0 - r * r) * (n - 1) / (n - 2)
-    return TradeEstimate(estimated=est, empirical=emp, pearson_r=r, implied_adjusted_r2=adj)
+    return TradeEstimate(ln_predicted=ln_predicted, estimated=est, empirical=emp,
+                         pearson_r=r, implied_adjusted_r2=adj)
 
 
 def coverage_filter(

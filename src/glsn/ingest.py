@@ -236,7 +236,6 @@ def validate_dataset(
     routes: list[ServiceRoute],
     ports: list[Port],
     econ: list[CountryEcon] | None = None,
-    bilateral: list[BilateralRecord] | None = None,
     strict: bool = False,
 ) -> ValidationReport:
     """Filter routes to the usable international set and report every drop.

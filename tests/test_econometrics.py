@@ -535,23 +535,30 @@ def selection_bits(sel):
     return rows, sel.verdict and sel.verdict.variables
 
 
-def _subsets(k, pieces):
-    """The candidate positions of each subset in the pieces, walked as
-    `_Walk.fit_pieces` walks them, with no size cap."""
+def _subsets(k, max_size):
+    """The candidate positions of every subset of at most max_size of k
+    candidates, in the walk's depth-first order."""
     out = []
 
-    def walk(cols, pending, whole):
-        out.append(cols)
-        if whole:
-            for at in range(len(pending)):
-                walk(cols + (pending[at],), pending[at + 1:], True)
+    def walk(cols, pending):
+        for at in range(len(pending)):
+            out.append(cols + (pending[at],))
+            if len(cols) + 1 < max_size:
+                walk(cols + (pending[at],), pending[at + 1:])
 
-    for path, whole in pieces:
-        cols, pending = (), tuple(range(k))
-        for at in path:
-            cols, pending = cols + (pending[at],), pending[at + 1:]
-        walk(cols, pending, whole)
+    walk((), tuple(range(k)))
     return out
+
+
+class _ColumnsOnly(econometrics._Walk):
+    """A walk that carries only each node's columns: its order, not its fits."""
+
+    def __init__(self, k):
+        self.y_centered, self.centered = None, [None] * k
+
+    def extend(self, node, at):
+        return node._replace(cols=node.cols + (node.pending[at][0],),
+                             pending=node.pending[at + 1:])
 
 
 @pytest.fixture(scope="module", params=[("k12", 11), ("k12", 29), 7, 8, 10], ids=str)
@@ -565,10 +572,10 @@ def walk_design(request):
 
 
 class TestForkedWalk:
-    """The walk's subtrees fitted in forked workers give the table and the
+    """The walk's ranges fitted in forked workers give the table and the
     verdict of one process, and leave no child and no CPU pin behind."""
 
-    @pytest.mark.parametrize("workers", [2, 3, 4])
+    @pytest.mark.parametrize("workers", [2, 3, 4, 5])
     def test_same_bits_as_one_process(self, walk_design, workers, monkeypatch):
         d, serial = walk_design
         mask = os.sched_getaffinity(0)
@@ -579,29 +586,54 @@ class TestForkedWalk:
     @pytest.mark.parametrize("k, max_size", [(12, 12), (7, 7), (10, 10), (12, 5), (9, 2)])
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 8])
     def test_deal_covers_each_subset_once_and_balances(self, k, max_size, workers):
-        parts = econometrics._deal(k, max_size, workers)
-        assert 1 <= len(parts) <= workers
-        loads, sizes, seen = [], [], []
-        for part in parts:
-            part_sizes = []
-            for piece in part:
-                subsets = [s for s in _subsets(k, [piece]) if len(s) <= max_size]
-                part_sizes.append(len(subsets))
-                seen += subsets
-            sizes += part_sizes
-            loads.append(sum(part_sizes))
-        assert sorted(seen) == sorted(
-            c for size in range(1, max_size + 1) for c in combinations(range(k), size))
-        share = -(-len(seen) // workers)
-        assert max(sizes) <= share
-        # pieces go largest first to the least loaded part; with every size
-        # fitted, the pieces are powers of two and the loads differ by one
-        assert max(loads) - min(loads) <= (1 if k == max_size else max(sizes))
+        """The walk dealt to w workers as select_model deals it: part i takes
+        the range [n*i//w, n*(i+1)//w) of the n subsets' depth-first order."""
+        walk = _ColumnsOnly(k)
+        root = walk.root(range(k))
+        order = _subsets(k, max_size)
+        n, w = len(order), min(workers, len(order))
+        parts = [[node.cols for node in walk.subtree(root, max_size, n * i // w,
+                                                     n * (i + 1) // w)]
+                 for i in range(w)]
+        assert [node.cols for node in walk.subtree(root, max_size)] == order
+        assert [cols for part in parts for cols in part] == order
+        assert {len(part) for part in parts} <= {n // w, -(-n // w)}
 
-    def test_deal_at_k12_over_two_workers(self):
-        # the root's largest subtree against all the others
-        assert econometrics._deal(12, 12, 2) == [
-            [((0,), True)], [((i,), True) for i in range(1, 12)]]
+    @pytest.mark.parametrize("k, max_size", [(10, 10), (12, 5), (9, 2)])
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_range_extends_only_its_subsets_and_their_ancestors(
+            self, monkeypatch, k, max_size, workers):
+        """A range takes a column step for each of its subsets and for at
+        most max_size ancestors of its first one, and none elsewhere."""
+        steps = []
+        extend = econometrics._Walk.extend
+
+        def counted(walk, node, at):
+            steps.append(at)
+            return extend(walk, node, at)
+
+        monkeypatch.setattr(econometrics._Walk, "extend", counted)
+        walk = econometrics._Walk(correlated_design(k))
+        root = walk.root(range(k))
+        n = econometrics._subtree_size(k, max_size) - 1
+        for i in range(workers):
+            lo, hi = n * i // workers, n * (i + 1) // workers
+            steps.clear()
+            assert len(list(walk.subtree(root, max_size, lo, hi))) == hi - lo
+            assert len(steps) <= (hi - lo) + max_size
+
+    def test_deal_at_k12_over_two_workers(self, monkeypatch):
+        # the first candidate's subtree, but for its last subset, against the rest
+        parts = []
+        run_parts = glsn.fork.run_parts
+
+        def recorded(fn, ranges, take):
+            return run_parts(lambda part: (part, len(fn(part))), ranges, parts.append)
+
+        monkeypatch.setattr(glsn.fork, "run_parts", recorded)
+        monkeypatch.setattr(glsn.fork, "worker_count", lambda: 2)
+        select_model(k12_design(11))
+        assert parts == [((0, 2047), 2047), ((2047, 4095), 2048)]
 
     def test_forks_from_127_subsets(self, monkeypatch):
         forks = []
