@@ -321,14 +321,12 @@ def cmd_gravity(run: Run) -> None:
     _, _, econ, bilateral = run.dataset
     if not econ or not bilateral:
         raise DataError("--countries and --bilateral are required for gravity")
-    table = run.table
-    gb = table.gb[run.lmax[0]]
+    shared = shared_pairs(econ, bilateral, run.graph, run.table.gb[run.lmax[0]], run.table.gc)
 
     report_rows = []
     first_fit = None
-    shared = shared_pairs(econ, bilateral, run.graph)
     for variant in run.variants:
-        assembly = assemble_pairs(shared, variant, gb=gb, gc=table.gc)
+        assembly = assemble_pairs(shared, variant)
         for reason, count in sorted(assembly.excluded.items()):
             print(f"gravity {variant.value}: excluded {count} pairs ({reason})",
                   file=sys.stderr)

@@ -2,14 +2,18 @@
 
 The base model regresses ln(bilateral trade value) on ln(GDP product) and
 ln(capital-to-capital distance); extended variants add ln(LSBCI) and the log
-product of the two countries' betweenness or connectivity indices. Fitting is
-plain OLS in log space (raw mode, no standardization).
+product of the two countries' betweenness or connectivity indices. Every
+regressor is computed once per country pair (`shared_pairs`), and a variant
+keeps the pairs that hold each of its regressors (`assemble_pairs`). Fitting
+is plain OLS in log space (raw mode, no standardization).
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,27 +48,25 @@ class GravityVariant(enum.Enum):
     GC = "gc"
     LSBCI_GC = "lsbci_gc"
 
-    @property
-    def uses_lsbci(self) -> bool:
-        return self in (GravityVariant.LSBCI, GravityVariant.LSBCI_GB, GravityVariant.LSBCI_GC)
-
-    @property
-    def uses_gb(self) -> bool:
-        return self in (GravityVariant.GB, GravityVariant.LSBCI_GB)
-
-    @property
-    def uses_gc(self) -> bool:
-        return self in (GravityVariant.GC, GravityVariant.LSBCI_GC)
-
     def variable_names(self) -> tuple[str, ...]:
-        names = ["ln_gdp_product", "ln_distance"]
-        if self.uses_lsbci:
-            names.append("ln_lsbci")
-        if self.uses_gb:
-            names.append("ln_gb_product")
-        if self.uses_gc:
-            names.append("ln_gc_product")
-        return tuple(names)
+        return ("ln_gdp_product", "ln_distance") + _EXTRA_REGRESSORS[self]
+
+
+# Each variant's regressors after ln(GDP product) and ln(distance), in the
+# order lsbci -> gb -> gc that decides which reason excludes a pair.
+_EXTRA_REGRESSORS = {
+    GravityVariant.BASE: (),
+    GravityVariant.LSBCI: ("ln_lsbci",),
+    GravityVariant.GB: ("ln_gb_product",),
+    GravityVariant.LSBCI_GB: ("ln_lsbci", "ln_gb_product"),
+    GravityVariant.GC: ("ln_gc_product",),
+    GravityVariant.LSBCI_GC: ("ln_lsbci", "ln_gc_product"),
+}
+_MISSING_REASON = {
+    "ln_lsbci": "missing_lsbci",
+    "ln_gb_product": "nonpositive_gb",
+    "ln_gc_product": "nonpositive_gc",
+}
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,7 @@ class CountryPairSample:
 @dataclass
 class PairAssembly:
     samples: list[CountryPairSample] = field(default_factory=list)
-    excluded: dict[str, int] = field(default_factory=dict)  # reason -> count
-
-    def _exclude(self, reason: str) -> None:
-        self.excluded[reason] = self.excluded.get(reason, 0) + 1
+    excluded: Counter[str] = field(default_factory=Counter)  # reason -> count
 
 
 def country_adjacency(g: Glsn) -> set[tuple[str, str]]:
@@ -98,101 +97,76 @@ def country_adjacency(g: Glsn) -> set[tuple[str, str]]:
     return pairs
 
 
-@dataclass
-class SharedPairs(PairAssembly):
-    """The base variant's sample and exclusions, with each sample's record:
-    what every variant shares."""
-
-    records: list[BilateralRecord] = field(default_factory=list)
+def _ln_product(a: float, b: float) -> float | None:
+    """ln(a * b), or None where either is <= 0. Where the product underflows
+    or overflows a normal finite double, it is the sum of the two logs."""
+    if a <= 0 or b <= 0:
+        return None
+    p = a * b
+    if sys.float_info.min <= p < math.inf:
+        return math.log(p)
+    return math.log(a) + math.log(b)
 
 
 def shared_pairs(
-    econ: list[CountryEcon], bilateral: list[BilateralRecord], glsn: Glsn
-) -> SharedPairs:
+    econ: list[CountryEcon], bilateral: list[BilateralRecord], glsn: Glsn,
+    gb: dict[str, float], gc: dict[str, float],
+) -> PairAssembly:
     """The pairs whose countries are directly connected in the port graph,
     with both GDPs and capitals present, positive trade and positive
-    distance, in pair order, each exclusion counted by reason."""
+    distance, in pair order, each exclusion counted by reason. Each sample
+    holds every variant's regressors, None where one is unavailable."""
     by_code = {e.country_code: e for e in econ}
     connected = country_adjacency(glsn)
-    out = SharedPairs()
+    out = PairAssembly()
     for rec in sorted(bilateral, key=lambda r: r.pair):
         ci, cj = rec.pair
         ei, ej = by_code.get(ci), by_code.get(cj)
         if ei is None or ej is None:
-            out._exclude("no_econ_record")
+            out.excluded["no_econ_record"] += 1
             continue
         if (ci, cj) not in connected:
-            out._exclude("not_directly_connected")
+            out.excluded["not_directly_connected"] += 1
             continue
         if rec.btv_usd <= 0:
-            out._exclude("zero_trade")
+            out.excluded["zero_trade"] += 1
             continue
         if ei.gdp_usd is None or ej.gdp_usd is None or ei.gdp_usd <= 0 or ej.gdp_usd <= 0:
-            out._exclude("missing_gdp")
+            out.excluded["missing_gdp"] += 1
             continue
         if None in (ei.capital_lat, ei.capital_lon, ej.capital_lat, ej.capital_lon):
-            out._exclude("missing_capital")
+            out.excluded["missing_capital"] += 1
             continue
         d = great_circle_km(ei.capital_lat, ei.capital_lon, ej.capital_lat, ej.capital_lon)
         if d <= 0:
-            out._exclude("zero_distance")
+            out.excluded["zero_distance"] += 1
             continue
         out.samples.append(
             CountryPairSample(
                 country_i=ci,
                 country_j=cj,
-                ln_gdp_product=math.log(ei.gdp_usd * ej.gdp_usd),
+                ln_gdp_product=_ln_product(ei.gdp_usd, ej.gdp_usd),
                 ln_distance=math.log(d),
                 ln_btv=math.log(rec.btv_usd),
+                ln_lsbci=None if rec.lsbci is None or rec.lsbci <= 0 else math.log(rec.lsbci),
+                ln_gb_product=_ln_product(gb.get(ci, 0.0), gb.get(cj, 0.0)),
+                ln_gc_product=_ln_product(gc.get(ci, 0.0), gc.get(cj, 0.0)),
             )
         )
-        out.records.append(rec)
     return out
 
 
-def assemble_pairs(
-    shared: SharedPairs,
-    variant: GravityVariant,
-    gb: dict[str, float] | None = None,
-    gc: dict[str, float] | None = None,
-) -> PairAssembly:
-    """Build the log-space sample for a variant, reporting each exclusion.
-
-    A pair enters only when it is in `shared` (see `shared_pairs`, built once
-    for every variant) and the variant's extra regressors are available and
-    positive.
-    """
-    if variant.uses_gb and gb is None:
-        raise DataError("gb index values required for this variant")
-    if variant.uses_gc and gc is None:
-        raise DataError("gc index values required for this variant")
-    out = PairAssembly(excluded=dict(shared.excluded))
-    if variant is GravityVariant.BASE:
-        out.samples = list(shared.samples)
-        return out
-    for s, rec in zip(shared.samples, shared.records):
-        ci, cj = s.country_i, s.country_j
-        ln_lsbci = ln_gb = ln_gc = None
-        if variant.uses_lsbci:
-            if rec.lsbci is None or rec.lsbci <= 0:
-                out._exclude("missing_lsbci")
-                continue
-            ln_lsbci = math.log(rec.lsbci)
-        if variant.uses_gb:
-            gi, gj = gb.get(ci, 0.0), gb.get(cj, 0.0)
-            if gi <= 0 or gj <= 0:
-                out._exclude("nonpositive_gb")
-                continue
-            ln_gb = math.log(gi * gj)
-        if variant.uses_gc:
-            gi, gj = gc.get(ci, 0.0), gc.get(cj, 0.0)
-            if gi <= 0 or gj <= 0:
-                out._exclude("nonpositive_gc")
-                continue
-            ln_gc = math.log(gi * gj)
-        out.samples.append(CountryPairSample(
-            ci, cj, s.ln_gdp_product, s.ln_distance, s.ln_btv, ln_lsbci, ln_gb, ln_gc
-        ))
+def assemble_pairs(shared: PairAssembly, variant: GravityVariant) -> PairAssembly:
+    """The samples of `shared` that hold every regressor of `variant`; a
+    dropped pair is counted under the first regressor it lacks."""
+    out = PairAssembly(excluded=Counter(shared.excluded))
+    extra = _EXTRA_REGRESSORS[variant]
+    for s in shared.samples:
+        missing = next((name for name in extra if getattr(s, name) is None), None)
+        if missing is None:
+            out.samples.append(s)
+        else:
+            out.excluded[_MISSING_REASON[missing]] += 1
     return out
 
 
@@ -217,12 +191,17 @@ def fit_gravity(
 
 
 def predict_ln_btv(
-    report: RegressionReport, sample: CountryPairSample, variant: GravityVariant
-) -> float:
+    report: RegressionReport, samples: list[CountryPairSample], variant: GravityVariant
+) -> list[float]:
+    """Predicted ln(trade) of each sample, in sample order."""
     coef = report.coefficients
-    out = coef["intercept"]
-    for name in variant.variable_names():
-        out += coef[name] * getattr(sample, name)
+    names = variant.variable_names()
+    out = []
+    for s in samples:
+        pred = coef["intercept"]
+        for name in names:
+            pred += coef[name] * getattr(s, name)
+        out.append(pred)
     return out
 
 
@@ -242,7 +221,7 @@ def estimate_country_trade(
 ) -> TradeEstimate:
     """Country totals from exp of predicted ln(trade), summed over a country's
     included pairs; no log-normal correction is applied."""
-    ln_predicted = [predict_ln_btv(report, s, variant) for s in samples]
+    ln_predicted = predict_ln_btv(report, samples, variant)
     est: dict[str, float] = {}
     emp: dict[str, float] = {}
     for s, ln_pred in zip(samples, ln_predicted):

@@ -21,11 +21,8 @@ from .model import (
 
 @contextmanager
 def _text(stream: IO) -> Iterator[IO]:
-    """`stream` as text. A binary stream is read through a UTF-8 wrapper that
-    is detached on exit, leaving the stream open: its caller owns it."""
-    if not isinstance(stream, (io.RawIOBase, io.BufferedIOBase)):
-        yield stream
-        return
+    """The binary `stream` as UTF-8 text, through a wrapper that is detached
+    on exit, leaving the stream open: its caller owns it."""
     text = io.TextIOWrapper(stream, encoding="utf-8")
     try:
         yield text

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import glsn.fork
 from glsn.cli import main as cli_main
 from glsn.econometrics import (
     DesignMatrix,
@@ -192,11 +193,11 @@ def test_criterion_gravity_identifiability():
               "antipodal distance within 0.01 km")
 
 
-@pytest.mark.parametrize("threads", ["1", "4"])
-def test_criterion_end_to_end_determinism(tmp_path, monkeypatch, threads):
+@pytest.mark.parametrize("workers", [1, 4])
+def test_criterion_end_to_end_determinism(tmp_path, monkeypatch, workers):
     fixture = DATA / "fixture"
     golden = DATA / "golden_report"
-    monkeypatch.setenv("GLSN_THREADS", threads)
+    monkeypatch.setattr(glsn.fork, "worker_count", lambda: workers)
     start = time.monotonic()
     code = cli_main([
         "report",
@@ -214,7 +215,7 @@ def test_criterion_end_to_end_determinism(tmp_path, monkeypatch, threads):
     assert sorted(p.name for p in tmp_path.iterdir()) == names
     _, mismatch, errors = filecmp.cmpfiles(tmp_path, golden, names, shallow=False)
     assert mismatch == [] and errors == []
-    _announce(f"report with {threads} worker(s) reproduces golden outputs "
+    _announce(f"report with {workers} worker(s) reproduces golden outputs "
               "byte-identically", f"{elapsed:.1f}s")
 
 

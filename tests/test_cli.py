@@ -236,9 +236,9 @@ class TestGravity:
 
 
 class TestReportDeterminism:
-    @pytest.mark.parametrize("threads", ["1", "4"])
-    def test_byte_identical_to_golden(self, tmp_path, monkeypatch, threads):
-        monkeypatch.setenv("GLSN_THREADS", threads)
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_byte_identical_to_golden(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(glsn.fork, "worker_count", lambda: workers)
         assert run(["report", *REPORT_ARGS, "--out", tmp_path]) == 0
         golden_files = sorted(p.name for p in GOLDEN.iterdir())
         produced = sorted(p.name for p in tmp_path.iterdir())

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def _world():
 class TestAssemblePairs:
     def test_pair_without_direct_connection_excluded(self):
         g, econ, bilateral = _world()
-        out = assemble_pairs(shared_pairs(econ, bilateral, g), GravityVariant.BASE)
+        out = assemble_pairs(shared_pairs(econ, bilateral, g, {}, {}), GravityVariant.BASE)
         pairs = {(s.country_i, s.country_j) for s in out.samples}
         assert ("XXX", "ZZZ") not in pairs
         assert out.excluded["not_directly_connected"] == 1
@@ -81,14 +82,14 @@ class TestAssemblePairs:
     def test_gb_zero_excluded_under_gb_variant(self):
         g, econ, bilateral = _world()
         gb = {"XXX": 1.0, "YYY": 0.0, "ZZZ": 2.0}
-        out = assemble_pairs(shared_pairs(econ, bilateral, g), GravityVariant.GB, gb=gb)
+        out = assemble_pairs(shared_pairs(econ, bilateral, g, gb, {}), GravityVariant.GB)
         assert out.samples == []
         assert out.excluded["nonpositive_gb"] == 2
 
     def test_complete_pair_has_all_logs(self):
         g, econ, bilateral = _world()
         gb = {"XXX": 1.0, "YYY": 2.0, "ZZZ": 3.0}
-        out = assemble_pairs(shared_pairs(econ, bilateral, g), GravityVariant.LSBCI_GB, gb=gb)
+        out = assemble_pairs(shared_pairs(econ, bilateral, g, gb, {}), GravityVariant.LSBCI_GB)
         (s,) = out.samples
         assert (s.country_i, s.country_j) == ("XXX", "YYY")
         assert s.ln_lsbci == pytest.approx(math.log(0.5))
@@ -100,8 +101,34 @@ class TestAssemblePairs:
     def test_missing_capital_excluded(self):
         g, econ, bilateral = _world()
         econ[0] = CountryEcon("XXX", trade_value_usd=300, gdp_usd=1e9)
-        out = assemble_pairs(shared_pairs(econ, bilateral, g), GravityVariant.BASE)
+        out = assemble_pairs(shared_pairs(econ, bilateral, g, {}, {}), GravityVariant.BASE)
         assert out.excluded.get("missing_capital") == 1
+
+    @pytest.mark.parametrize("variant, reason", [
+        (GravityVariant.LSBCI_GB, "nonpositive_gb"),
+        (GravityVariant.LSBCI_GC, "nonpositive_gc"),
+    ])
+    def test_pair_lacking_lsbci_and_index_counted_once_as_missing_lsbci(self, variant, reason):
+        # YYY-ZZZ has no lsbci and a zero index for ZZZ; XXX-YYY has both
+        g, econ, bilateral = _world()
+        index = {"XXX": 1.0, "YYY": 2.0, "ZZZ": 0.0}
+        out = assemble_pairs(shared_pairs(econ, bilateral, g, index, index), variant)
+        assert [(s.country_i, s.country_j) for s in out.samples] == [("XXX", "YYY")]
+        assert out.excluded["missing_lsbci"] == 1
+        assert reason not in out.excluded
+
+    def test_log_products_never_raise_on_extreme_values(self):
+        # every product underflows (GDPs, gc) or overflows (gb) a double
+        g, econ, bilateral = _world()
+        econ = [replace(e, gdp_usd=1e-200) for e in econ]
+        gb = {"XXX": 1e200, "YYY": 1e200, "ZZZ": 1e200}
+        gc = {"XXX": 1e-300, "YYY": 1e-300, "ZZZ": 1e-300}
+        shared = shared_pairs(econ, bilateral, g, gb, gc)
+        assert len(shared.samples) == 2
+        for s in shared.samples:
+            assert s.ln_gdp_product == 2 * math.log(1e-200)
+            assert s.ln_gb_product == 2 * math.log(1e200)
+            assert s.ln_gc_product == 2 * math.log(1e-300)
 
 
 def synth_samples(rng, n, truth=(1.0, 0.8, -1.1), noise_sd=0.0):
@@ -189,9 +216,23 @@ class TestEstimateCountryTrade:
         rep = fit_gravity(samples, GravityVariant.BASE)
         est = estimate_country_trade(rep, samples, GravityVariant.BASE)
         s = samples[7]
-        expected = math.exp(predict_ln_btv(rep, s, GravityVariant.BASE))
+        expected = math.exp(predict_ln_btv(rep, [s], GravityVariant.BASE)[0])
         assert est.estimated[s.country_i] == pytest.approx(expected)
         assert est.estimated[s.country_j] == pytest.approx(expected)
+
+    def test_coefficients_read_once(self, monkeypatch):
+        samples = synth_samples(np.random.default_rng(4), 40, noise_sd=0.1)
+        rep = fit_gravity(samples, GravityVariant.BASE)
+        reads = []
+        coefficients = econometrics.RegressionReport.coefficients
+
+        def counted(report):
+            reads.append(report)
+            return coefficients.fget(report)
+
+        monkeypatch.setattr(econometrics.RegressionReport, "coefficients", property(counted))
+        estimate_country_trade(rep, samples, GravityVariant.BASE)
+        assert len(reads) == 1
 
     def test_reconstruction_computes_no_p_value(self, monkeypatch):
         def no_tail(t, dof):
