@@ -95,6 +95,14 @@ def _names(raw: str, known, flag: str) -> list[str]:
     return names
 
 
+def _has_rows(records: list, path: str) -> list:
+    """The records parsed from the input at `path`, which a command needs
+    (its flag is required, so only a file with no data rows gives none)."""
+    if not records:
+        raise DataError(f"{path}: no data rows")
+    return records
+
+
 class Run:
     """One invocation: its checked flags and the stages computed from its inputs.
 
@@ -247,9 +255,7 @@ def _dependent_value(e, dependent: str) -> float | None:
 
 def cmd_regress(run: Run) -> None:
     args, candidates = run.args, run.candidates
-    econ = run.dataset[2]
-    if not econ:
-        raise DataError("--countries is required for regress")
+    econ = _has_rows(run.dataset[2], args.countries)
     table = run.table
     econ_by_code = {e.country_code: e for e in econ}
     values = _candidate_values(table, econ_by_code, run.lmax[0])
@@ -319,8 +325,8 @@ def cmd_regress(run: Run) -> None:
 
 def cmd_gravity(run: Run) -> None:
     _, _, econ, bilateral = run.dataset
-    if not econ or not bilateral:
-        raise DataError("--countries and --bilateral are required for gravity")
+    econ = _has_rows(econ, run.args.countries)
+    bilateral = _has_rows(bilateral, run.args.bilateral)
     shared = shared_pairs(econ, bilateral, run.graph, run.table.gb[run.lmax[0]], run.table.gc)
 
     report_rows = []

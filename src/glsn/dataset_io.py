@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import io
 
-from .model import BilateralRecord, CountryEcon, Port, ServiceRoute
+from .model import ECON_COLUMNS, BilateralRecord, CountryEcon, Port, ServiceRoute
 
 
 def fmt(v) -> str:
@@ -47,32 +47,9 @@ def ports_csv(ports: list[Port]) -> str:
 
 
 def countries_csv(econ: list[CountryEcon]) -> str:
-    header = [
-        "country_code",
-        "trade_value_usd",
-        "export_usd",
-        "import_usd",
-        "gdp_usd",
-        "lsci",
-        "capital_lat",
-        "capital_lon",
-        "trade_value_change_usd",
-    ]
-    rows = [
-        [
-            e.country_code,
-            e.trade_value_usd,
-            e.export_usd,
-            e.import_usd,
-            e.gdp_usd,
-            e.lsci,
-            e.capital_lat,
-            e.capital_lon,
-            e.trade_value_change_usd,
-        ]
-        for e in sorted(econ, key=lambda e: e.country_code)
-    ]
-    return csv_text(header, rows)
+    rows = [[getattr(e, c) for c in ECON_COLUMNS]
+            for e in sorted(econ, key=lambda e: e.country_code)]
+    return csv_text(list(ECON_COLUMNS), rows)
 
 
 def bilateral_csv(bilateral: list[BilateralRecord]) -> str:

@@ -86,8 +86,8 @@ AIC_TIE_BAND = 2.0
 # 23.4 against 18.4 ms for 127 and 49.3 against 39.4 ms for 255.
 _FORK_MIN_SUBSETS = 127
 # where the coefficients start in RegressionReport.packed, after r2, adjusted
-# R^2, AIC, RSS and the t critical value
-_COEF = 5
+# R^2, AIC and RSS
+_COEF = 4
 
 # Student's t runs in decimal arithmetic at 40 digits; the exponent range is
 # the widest, so no tail underflows before its final rounding to a double.
@@ -168,11 +168,10 @@ def standardize(design: DesignMatrix) -> DesignMatrix:
 @dataclass(frozen=True, slots=True)
 class RegressionReport:
     """One least-squares fit. Its floats are packed in one array of doubles:
-    r2, adjusted R^2, AIC, RSS and the t critical value, then the coefficients
-    (intercept first), their standard errors and the VIFs (math.inf marks
-    exact collinearity). A double round-trips exactly through the array, so
-    the dicts built on access hold the fit's bits; p-values are computed only
-    when read."""
+    r2, adjusted R^2, AIC and RSS, then the coefficients (intercept first),
+    their standard errors and the VIFs (math.inf marks exact collinearity). A
+    double round-trips exactly through the array, so the dicts built on access
+    hold the fit's bits; CIs and p-values are computed only when read."""
 
     variables: tuple[str, ...]
     n_obs: int
@@ -200,7 +199,7 @@ class RegressionReport:
 
     @property
     def ci95(self) -> dict[str, tuple[float, float]]:
-        tcrit = self.packed[4]
+        tcrit = _t_quantile_975(self.dof)
         return {
             name: (b - tcrit * se, b + tcrit * se) if se > 0 else (b, b)
             for name, b, se in self._estimates()
@@ -578,8 +577,7 @@ class _Walk:
         sigma2 = rss / dof
         ses = [math.sqrt(max(sigma2 * d, 0.0)) for d in diag]
         vifs = _vif_values([self.norms2[c] for c in node.cols], row_ss)
-        fit = [r2, adjusted_r2_value(r2, n, k_vars), aic_value(n, rss, k_params), rss,
-               _t_quantile_975(dof)]
+        fit = [r2, adjusted_r2_value(r2, n, k_vars), aic_value(n, rss, k_params), rss]
         return RegressionReport(
             variables=variables,
             n_obs=n,

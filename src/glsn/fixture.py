@@ -51,6 +51,8 @@ def generate(
     n_ports: int = 30,
     n_routes: int = 12,
 ) -> SyntheticDataset:
+    if seed < 0:
+        raise DataError(f"need a seed of at least 0, got {seed}")
     if n_countries < 2:
         raise DataError("need at least 2 countries for international routes")
     if n_countries > 26**3:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -103,12 +104,14 @@ def build_glsn(
 ) -> Glsn:
     """Overlay each route's clique over its distinct ports; sum weights across routes.
 
-    Summation runs in canonical order (sorted route ids, sorted pair keys) so
-    results are bit-identical regardless of input order. Ports never touched by
-    a route are still nodes (isolated).
+    Each edge's weight is the correctly rounded sum (math.fsum) of its routes'
+    weights, so it is bit-identical whatever the route order or the Python
+    version (the built-in sum compensates from 3.12 on). Edges are keyed in
+    sorted pair order. Ports never touched by a route are still nodes
+    (isolated).
     """
     country_of = {p.port_id: p.country_code for p in ports}
-    contributions: dict[tuple[str, str], list[tuple[str, float]]] = {}
+    contributions: dict[tuple[str, str], list[float]] = {}
     for route in routes:
         distinct = sorted(route.distinct_ports)
         if len(distinct) < 2:
@@ -118,14 +121,14 @@ def build_glsn(
                 raise DataError(f"route {route.route_id!r}: unknown port {pid!r}")
         w = route_edge_weight(len(distinct), route.capacity_teu, scheme)
         for u, v in combinations(distinct, 2):
-            contributions.setdefault((u, v), []).append((route.route_id, w))
+            contributions.setdefault((u, v), []).append(w)
 
     edges: dict[tuple[str, str], float] = {}
     for key in sorted(contributions):
         if scheme is WeightScheme.UNWEIGHTED:
             edges[key] = 1.0
         else:
-            edges[key] = sum(w for _, w in sorted(contributions[key]))
+            edges[key] = math.fsum(contributions[key])
     return Glsn(scheme=scheme, country_of=country_of, edges=edges)
 
 

@@ -5,17 +5,18 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from contextlib import contextmanager
 from typing import IO, Iterator
 
 from .model import (
+    ECON_COLUMNS,
     BilateralRecord,
     CountryEcon,
     DataError,
     Port,
     ServiceRoute,
     ValidationReport,
+    check_capacity,
 )
 
 
@@ -65,11 +66,12 @@ def _opt_float(raw: str | None, what: str) -> float | None:
         raise DataError(f"{what}: not a number: {raw!r}") from None
 
 
-def _opt_finite(raw: str | None, what: str) -> float | None:
-    value = _opt_float(raw, what)
-    if value is not None and not math.isfinite(value):
-        raise DataError(f"{what}: non-finite value {raw.strip()!r}")
-    return value
+def _checked(where: str, make, *args):
+    """`make(*args)`: a record, or a check, whose DataError gains `where`."""
+    try:
+        return make(*args)
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from None
 
 
 def parse_routes(stream: IO, meta_stream: IO | None = None) -> list[ServiceRoute]:
@@ -95,15 +97,15 @@ def parse_routes(stream: IO, meta_stream: IO | None = None) -> list[ServiceRoute
     if meta_stream is not None:
         with _reader(meta_stream, ["route_id", "capacity_teu"], "routes_meta") as mrd:
             for lineno, row in enumerate(mrd, start=2):
-                (rid,) = _required(row, ("route_id",), f"routes_meta line {lineno}")
+                where = f"routes_meta line {lineno}"
+                (rid,) = _required(row, ("route_id",), where)
                 if rid in capacities:
-                    raise DataError(f"routes_meta line {lineno}: duplicate route_id {rid!r}")
-                cap = _opt_float(row["capacity_teu"], f"routes_meta line {lineno} capacity_teu")
+                    raise DataError(f"{where}: duplicate route_id {rid!r}")
+                cap = _opt_float(row["capacity_teu"], f"{where} capacity_teu")
+                # checked here, not by ServiceRoute, so that the error names the
+                # line, also for a route that routes.csv lacks
+                _checked(where, check_capacity, rid, cap)
                 if cap is not None:
-                    if not math.isfinite(cap):
-                        raise DataError(f"routes_meta line {lineno}: non-finite capacity {cap}")
-                    if cap < 0:
-                        raise DataError(f"routes_meta line {lineno}: negative capacity {cap}")
                     capacities[rid] = cap
 
     routes = []
@@ -152,11 +154,7 @@ def parse_routes_json(stream: IO) -> list[ServiceRoute]:
                 cap = float(cap)
             except (TypeError, ValueError):
                 raise DataError(f"routes json entry {i}: bad capacity {cap!r}") from None
-            if not math.isfinite(cap):
-                raise DataError(f"routes json entry {i}: non-finite capacity {cap}")
-            if cap < 0:
-                raise DataError(f"routes json entry {i}: negative capacity")
-        routes.append(ServiceRoute(route_id=rid, port_calls=tuple(ports), capacity_teu=cap))
+        routes.append(_checked(f"routes json entry {i}", ServiceRoute, rid, tuple(ports), cap))
     return sorted(routes, key=lambda r: r.route_id)
 
 
@@ -171,7 +169,7 @@ def parse_ports(stream: IO) -> list[Port]:
             if pid in seen:
                 raise DataError(f"ports line {lineno}: duplicate port_id {pid!r}")
             seen.add(pid)
-            ports.append(Port(pid, name, country))
+            ports.append(_checked(f"ports line {lineno}", Port, pid, name, country))
     return ports
 
 
@@ -180,28 +178,13 @@ def parse_country_econ(stream: IO) -> list[CountryEcon]:
     seen = set()
     with _reader(stream, ["country_code"], "countries") as rd:
         for lineno, row in enumerate(rd, start=2):
-            (code,) = _required(row, ("country_code",), f"countries line {lineno}")
-            if code in seen:
-                raise DataError(f"countries line {lineno}: duplicate country_code {code!r}")
-            seen.add(code)
             where = f"countries line {lineno}"
-
-            def g(col: str) -> float | None:
-                return _opt_finite(row.get(col), f"{where} {col}")
-
-            out.append(
-                CountryEcon(
-                    country_code=code,
-                    trade_value_usd=g("trade_value_usd"),
-                    export_usd=g("export_usd"),
-                    import_usd=g("import_usd"),
-                    gdp_usd=g("gdp_usd"),
-                    lsci=g("lsci"),
-                    capital_lat=g("capital_lat"),
-                    capital_lon=g("capital_lon"),
-                    trade_value_change_usd=g("trade_value_change_usd"),
-                )
-            )
+            (code,) = _required(row, ("country_code",), where)
+            if code in seen:
+                raise DataError(f"{where}: duplicate country_code {code!r}")
+            seen.add(code)
+            values = [_opt_float(row.get(col), f"{where} {col}") for col in ECON_COLUMNS[1:]]
+            out.append(_checked(where, CountryEcon, code, *values))
     return out
 
 
@@ -210,20 +193,15 @@ def parse_bilateral(stream: IO) -> list[BilateralRecord]:
     seen_pairs = set()
     with _reader(stream, ["country_i", "country_j", "btv_usd"], "bilateral") as rd:
         for lineno, row in enumerate(rd, start=2):
-            ci, cj = _required(row, ("country_i", "country_j"), f"bilateral line {lineno}")
-            btv = _opt_finite(row["btv_usd"], f"bilateral line {lineno} btv_usd")
+            where = f"bilateral line {lineno}"
+            ci, cj = _required(row, ("country_i", "country_j"), where)
+            btv = _opt_float(row["btv_usd"], f"{where} btv_usd")
             if btv is None:
-                raise DataError(f"bilateral line {lineno}: btv_usd is required")
-            rec = BilateralRecord(
-                country_i=ci,
-                country_j=cj,
-                btv_usd=btv,
-                lsbci=_opt_finite(row.get("lsbci"), f"bilateral line {lineno} lsbci"),
-            )
+                raise DataError(f"{where}: btv_usd is required")
+            lsbci = _opt_float(row.get("lsbci"), f"{where} lsbci")
+            rec = _checked(where, BilateralRecord, ci, cj, btv, lsbci)
             if rec.pair in seen_pairs:
-                raise DataError(
-                    f"bilateral line {lineno}: duplicate unordered pair {rec.pair}"
-                )
+                raise DataError(f"{where}: duplicate unordered pair {rec.pair}")
             seen_pairs.add(rec.pair)
             out.append(rec)
     return out

@@ -7,11 +7,25 @@ regressions exclude countries with incomplete data rather than imputing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class DataError(ValueError):
     """Malformed or inconsistent input data."""
+
+
+def _check_finite(owner: str, what: str, value: float | None) -> None:
+    """The finiteness rule: a missing value (None) passes, nan and inf do not."""
+    if value is not None and not math.isfinite(value):
+        raise DataError(f"{owner}: non-finite {what}")
+
+
+def check_capacity(route_id: str, capacity_teu: float | None) -> None:
+    """The capacity rule: a known capacity is finite, then non-negative."""
+    owner = f"route {route_id!r}"
+    _check_finite(owner, f"capacity {capacity_teu}", capacity_teu)
+    if capacity_teu is not None and capacity_teu < 0:
+        raise DataError(f"{owner}: negative capacity {capacity_teu}")
 
 
 @dataclass(frozen=True)
@@ -34,10 +48,7 @@ class ServiceRoute:
     capacity_teu: float | None = None
 
     def __post_init__(self):
-        if self.capacity_teu is not None and not math.isfinite(self.capacity_teu):
-            raise DataError(f"route {self.route_id!r}: non-finite capacity {self.capacity_teu}")
-        if self.capacity_teu is not None and self.capacity_teu < 0:
-            raise DataError(f"route {self.route_id!r}: negative capacity {self.capacity_teu}")
+        check_capacity(self.route_id, self.capacity_teu)
 
     @property
     def distinct_ports(self) -> frozenset[str]:
@@ -61,14 +72,17 @@ class CountryEcon:
     trade_value_change_usd: float | None = None
 
     def __post_init__(self):
-        for name in ("trade_value_usd", "export_usd", "import_usd", "gdp_usd"):
-            v = getattr(self, name)
-            if v is not None and not math.isfinite(v):
-                raise DataError(f"country {self.country_code!r}: non-finite {name}")
+        owner = f"country {self.country_code!r}"
+        for f in fields(self)[1:]:
+            _check_finite(owner, f.name, getattr(self, f.name))
         if self.capital_lat is not None and not -90 <= self.capital_lat <= 90:
-            raise DataError(f"country {self.country_code!r}: latitude out of range")
+            raise DataError(f"{owner}: latitude out of range")
         if self.capital_lon is not None and not -180 <= self.capital_lon <= 180:
-            raise DataError(f"country {self.country_code!r}: longitude out of range")
+            raise DataError(f"{owner}: longitude out of range")
+
+
+# the countries.csv columns, in order
+ECON_COLUMNS = tuple(f.name for f in fields(CountryEcon))
 
 
 @dataclass(frozen=True)
@@ -81,14 +95,11 @@ class BilateralRecord:
     def __post_init__(self):
         if self.country_i == self.country_j:
             raise DataError(f"bilateral record {self.country_i!r}: countries must differ")
-        if not math.isfinite(self.btv_usd):
-            raise DataError(
-                f"bilateral pair ({self.country_i}, {self.country_j}): non-finite trade value"
-            )
+        owner = f"bilateral pair ({self.country_i}, {self.country_j})"
+        _check_finite(owner, "trade value", self.btv_usd)
         if self.btv_usd < 0:
-            raise DataError(
-                f"bilateral pair ({self.country_i}, {self.country_j}): negative trade value"
-            )
+            raise DataError(f"{owner}: negative trade value")
+        _check_finite(owner, "lsbci", self.lsbci)
 
     @property
     def pair(self) -> tuple[str, str]:

@@ -55,6 +55,7 @@ class TestGenFixture:
         (["--n-routes", "-1"], "route count"),
         (["--n-ports", "2", "--n-countries", "2"], "3 ports"),
         (["--n-countries", "17577"], "three-letter codes"),
+        (["--seed", "-1"], "seed"),  # the later --seed wins
     ])
     def test_bad_size_exits_1_with_one_error_line(self, tmp_path, capsys, flags, needle):
         out = tmp_path / "out"
@@ -413,9 +414,23 @@ class TestRunChecks:
         args = [str(a).replace(str(FIXTURE), str(data)) for a in REPORT_ARGS]
         assert run(["report", *args, "--out", out]) == 1
         err = capsys.readouterr().err
-        header = lines[0].rstrip("\n").split(",")
-        assert err.splitlines()[-1] == (
-            f"error: {name[:-4]} line 2 {header[column]}: non-finite value 'nan'")
+        # the record names column 2, btv_usd, by its meaning; column 5 is lsci
+        needle = {"bilateral.csv": "bilateral pair (AAA, AAB): non-finite trade value",
+                  "countries.csv": "country 'AAA': non-finite lsci"}[name]
+        assert err.splitlines()[-1] == f"error: {name[:-4]} line 2: {needle}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, name", [
+        ("regress", "countries.csv"), ("gravity", "bilateral.csv"),
+    ])
+    def test_header_only_input_exits_1_naming_the_file(self, tmp_path, capsys,
+                                                       command, name):
+        empty = tmp_path / name
+        empty.write_text((FIXTURE / name).read_text().splitlines()[0] + "\n")
+        args = [str(a).replace(str(FIXTURE / name), str(empty)) for a in REPORT_ARGS]
+        out = tmp_path / "out"
+        assert run([command, *args, "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {empty}: no data rows"
         assert not out.exists()
 
     def test_out_naming_a_file_exits_1(self, tmp_path, capsys):

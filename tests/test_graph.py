@@ -1,7 +1,11 @@
+import math
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glsn.fixture import generate
 from glsn.graph import (
     WeightScheme,
     build_glsn,
@@ -60,6 +64,22 @@ def test_weights_sum_across_routes():
     assert g.weight("A", "B") == 2.0
     assert g.weight("A", "C") == 1.0
     assert g.weight("B", "C") == 1.0
+
+
+@pytest.mark.parametrize("scheme", [s for s in WeightScheme
+                                    if s is not WeightScheme.UNWEIGHTED])
+def test_overlapping_weights_are_correctly_rounded_sums(scheme):
+    # 200 routes over 100 ports: hundreds of pairs share routes, and on a few
+    # of them a running sum rounds differently from the exact one
+    ds = generate(7, n_ports=100, n_routes=200, n_countries=20)
+    contributions = {}
+    for r in ds.routes:
+        distinct = sorted(r.distinct_ports)
+        w = route_edge_weight(len(distinct), r.capacity_teu, scheme)
+        for key in combinations(distinct, 2):
+            contributions.setdefault(key, []).append(w)
+    g = build_glsn(ds.routes, ds.ports, scheme)
+    assert g.edges == {key: math.fsum(ws) for key, ws in sorted(contributions.items())}
 
 
 def test_repeated_calls_no_self_loops_or_multiedges():

@@ -11,7 +11,7 @@ from glsn.ingest import (
     parse_routes_json,
     validate_dataset,
 )
-from glsn.model import BilateralRecord, DataError, Port, ServiceRoute
+from glsn.model import BilateralRecord, CountryEcon, DataError, Port, ServiceRoute
 
 
 def s(text: str) -> io.BytesIO:
@@ -133,11 +133,13 @@ def test_non_finite_capacity(cap):
 @pytest.mark.parametrize("rid", ["R1", "R9"])  # R9 is in routes_meta only
 def test_non_finite_capacity_names_its_line(rid, cap):
     meta = f"route_id,capacity_teu\nR2,5\n{rid},{cap}\n"
-    with pytest.raises(DataError, match=f"^routes_meta line 3: non-finite capacity {cap}$"):
+    with pytest.raises(DataError,
+                       match=f"^routes_meta line 3: route '{rid}': non-finite capacity {cap}$"):
         parse_routes(s(ROUTES), s(meta))
     ok = '{"route_id": "R2", "ports": ["A", "B"]}'
     bad = f'{{"route_id": "{rid}", "capacity_teu": "{cap}", "ports": ["A", "B"]}}'
-    with pytest.raises(DataError, match=f"^routes json entry 1: non-finite capacity {cap}$"):
+    with pytest.raises(DataError,
+                       match=f"^routes json entry 1: route '{rid}': non-finite capacity {cap}$"):
         parse_routes_json(s(f"[{ok}, {bad}]"))
 
 
@@ -180,8 +182,7 @@ def test_non_finite_country_value_names_line_and_column(column, value):
     header = "country_code," + ",".join(COUNTRY_COLUMNS)
     good = "XXA," + ",".join("1" for _ in COUNTRY_COLUMNS)
     bad = "XXB," + ",".join(value if c == column else "1" for c in COUNTRY_COLUMNS)
-    with pytest.raises(DataError, match=f"^countries line 3 {column}: non-finite value "
-                                        f"{value.strip()!r}$"):
+    with pytest.raises(DataError, match=f"^countries line 3: country 'XXB': non-finite {column}$"):
         parse_country_econ(s(f"{header}\n{good}\n{bad}\n"))
 
 
@@ -190,7 +191,10 @@ def test_non_finite_country_value_names_line_and_column(column, value):
 def test_non_finite_bilateral_value_names_line_and_column(column, value):
     row = {"btv_usd": "100", "lsbci": "0.5", column: value}
     text = f"country_i,country_j,btv_usd,lsbci\nX,Y,5,\nX,Z,{row['btv_usd']},{row['lsbci']}\n"
-    with pytest.raises(DataError, match=f"^bilateral line 3 {column}: non-finite value '{value}'$"):
+    # the record names btv_usd by its meaning, "trade value"
+    what = {"btv_usd": "trade value", "lsbci": "lsbci"}[column]
+    with pytest.raises(DataError,
+                       match=fr"^bilateral line 3: bilateral pair \(X, Z\): non-finite {what}$"):
         parse_bilateral(s(text))
 
 
@@ -200,6 +204,19 @@ def test_records_check_finiteness_before_sign(cap):
         ServiceRoute("R1", ("A", "B"), cap)
     with pytest.raises(DataError, match=r"^bilateral pair \(X, Y\): non-finite trade value$"):
         BilateralRecord("X", "Y", cap)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("column", COUNTRY_COLUMNS)
+def test_country_record_refuses_non_finite_values(column, value):
+    with pytest.raises(DataError, match=f"^country 'XXA': non-finite {column}$"):
+        CountryEcon("XXA", **{column: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_bilateral_record_refuses_non_finite_lsbci(value):
+    with pytest.raises(DataError, match=r"^bilateral pair \(X, Y\): non-finite lsbci$"):
+        BilateralRecord("X", "Y", 1.0, lsbci=value)
 
 
 def _ports():
