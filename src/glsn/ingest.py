@@ -81,6 +81,7 @@ def parse_routes(stream: IO, meta_stream: IO | None = None) -> list[ServiceRoute
     at graph construction.
     """
     calls: dict[str, list[tuple[int, str]]] = {}
+    lines: dict[tuple[str, int], int] = {}  # (route_id, seq) -> its line
     with _reader(stream, ["route_id", "seq", "port_id"], "routes") as rd:
         for lineno, row in enumerate(rd, start=2):
             rid = (row["route_id"] or "").strip()
@@ -91,6 +92,10 @@ def parse_routes(stream: IO, meta_stream: IO | None = None) -> list[ServiceRoute
                 seq = int(row["seq"])
             except (TypeError, ValueError):
                 raise DataError(f"routes line {lineno}: bad seq {row['seq']!r}") from None
+            first = lines.setdefault((rid, seq), lineno)
+            if first != lineno:
+                raise DataError(
+                    f"routes line {lineno}: route {rid!r} repeats seq {seq} of line {first}")
             calls.setdefault(rid, []).append((seq, pid))
 
     capacities: dict[str, float] = {}
@@ -111,9 +116,6 @@ def parse_routes(stream: IO, meta_stream: IO | None = None) -> list[ServiceRoute
     routes = []
     for rid in sorted(calls):
         seq_calls = sorted(calls[rid])
-        seqs = [s for s, _ in seq_calls]
-        if len(set(seqs)) != len(seqs):
-            raise DataError(f"route {rid!r}: duplicate seq values")
         routes.append(
             ServiceRoute(
                 route_id=rid,
@@ -150,10 +152,14 @@ def parse_routes_json(stream: IO) -> list[ServiceRoute]:
         seen.add(rid)
         cap = obj.get("capacity_teu")
         if cap is not None:
+            # a JSON number only: not a string, nor true or false (ints to Python)
+            if isinstance(cap, bool) or not isinstance(cap, (int, float)):
+                raise DataError(f"routes json entry {i}: bad capacity {cap!r}")
             try:
                 cap = float(cap)
-            except (TypeError, ValueError):
-                raise DataError(f"routes json entry {i}: bad capacity {cap!r}") from None
+            except OverflowError:
+                raise DataError(f"routes json entry {i}: bad capacity, an integer beyond "
+                                "the float range") from None
         routes.append(_checked(f"routes json entry {i}", ServiceRoute, rid, tuple(ports), cap))
     return sorted(routes, key=lambda r: r.route_id)
 

@@ -2,6 +2,8 @@
 
 Deliberately literal: enumerate every shortest path explicitly and apply the
 definitions one path at a time. Refuses graphs with more than 16 nodes.
+`valid_shortest_path_profile` gives one pair's valid paths, the terms that gb
+sums over all pairs.
 """
 
 from __future__ import annotations
@@ -50,6 +52,36 @@ def all_shortest_paths(g: Glsn, s: str, t: str) -> list[list[str]]:
 
     extend([s])
     return [p for p in paths if len(p) - 1 == dist[t]]
+
+
+def valid_shortest_path_profile(
+    g: Glsn, s: str, t: str, l_max: int
+) -> tuple[int, dict[str, int]]:
+    """Count valid shortest paths between s and t and per-country mediation.
+
+    Returns (n_st, delta) where delta[c] is the number of valid shortest paths
+    with at least one intermediate port in country c; a path touching two
+    ports of the same country counts once. n_st = 0 when the pair is
+    disconnected, farther apart than l_max, or every shortest path is invalid.
+    """
+    for p in (s, t):
+        if p not in g.country_of:
+            raise DataError(f"unknown port {p!r}")
+    if l_max < 1:
+        raise DataError("l_values must be positive")
+    ends = {g.country_of[s], g.country_of[t]}
+    if len(ends) == 1:
+        raise DataError(f"ports {s!r} and {t!r} are in the same country {g.country_of[s]!r}")
+    valid = []
+    for path in all_shortest_paths(g, s, t):
+        inter = {g.country_of[p] for p in path[1:-1]}
+        if len(path) - 1 <= l_max and not inter & ends:
+            valid.append(inter)
+    delta: dict[str, int] = {}
+    for inter in valid:
+        for c in inter:
+            delta[c] = delta.get(c, 0) + 1
+    return len(valid), delta
 
 
 def glsn_betweenness_oracle(g: Glsn, l_max: int) -> dict[str, float]:

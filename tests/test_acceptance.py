@@ -34,7 +34,7 @@ from glsn.indices import (
 )
 
 from conftest import make_glsn, random_glsn
-from oracle import glsn_betweenness_oracle, port_betweenness_oracle
+from oracle import glsn_betweenness_oracle, port_betweenness_oracle, valid_shortest_path_profile
 
 DATA = Path(__file__).parent / "data"
 N_SUITE = 200
@@ -90,7 +90,6 @@ def test_criterion_fb_oracle_equivalence(graph_suite):
 
 
 def _distance_2_valid_pair_count(g) -> int:
-    from glsn.indices import valid_shortest_path_profile
     from collections import deque
 
     adj = g.neighbors()

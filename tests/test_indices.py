@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,13 +21,17 @@ from glsn.indices import (
     glsn_betweenness_exact,
     glsn_betweenness_profile,
     port_betweenness,
-    valid_shortest_path_profile,
 )
 from glsn.ingest import parse_ports, parse_routes, validate_dataset
 from glsn.model import DataError
 
 from conftest import assert_no_child_and_mask, make_glsn, random_glsn
-from oracle import all_shortest_paths, glsn_betweenness_oracle, port_betweenness_oracle
+from oracle import (
+    all_shortest_paths,
+    glsn_betweenness_oracle,
+    port_betweenness_oracle,
+    valid_shortest_path_profile,
+)
 
 
 class TestConnectivity:
@@ -232,19 +237,28 @@ class TestSharedPass:
         assert repr(table.fb_norm) == repr(fb_norm)
 
     def test_one_bfs_per_port(self, monkeypatch):
-        sources = []
-        bfs = glsn.indices._bfs
+        batches = []
+        batch = glsn.indices._batch
 
-        def counted(view, s, *args, **kwargs):
-            sources.append(view.ports[s])
-            return bfs(view, s, *args, **kwargs)
+        def counted(a, src, *args):
+            batches.append([a.ports[s] for s in src.tolist()])
+            return batch(a, src, *args)
 
-        # a forked worker's calls would not reach this process's counter
-        monkeypatch.setattr(glsn.fork, "worker_count", lambda: 1)
-        monkeypatch.setattr(glsn.indices, "_bfs", counted)
+        def in_process(fn, parts, take):
+            # every worker's part runs here, so that its batches are seen
+            for part in parts:
+                take(fn(part))
+
         g = _two_components_and_isolated(3)
+        # batches of three sources over three workers
+        per_source = len(g.country_of) + 2 * len(g.edges)
+        monkeypatch.setattr(glsn.indices, "_BATCH_ELEMENTS", 3 * per_source + 1)
+        monkeypatch.setattr(glsn.fork, "worker_count", lambda: 3)
+        monkeypatch.setattr(glsn.fork, "run_parts", in_process)
+        monkeypatch.setattr(glsn.indices, "_batch", counted)
         build_index_table(g, g)
-        assert sorted(sources) == g.nodes()
+        assert sorted(p for b in batches for p in b) == g.nodes()
+        assert max(map(len, batches)) == 3 and len(batches) > 3
 
 
 def _relabel(g, country, prefix=""):
@@ -548,6 +562,14 @@ class TestAgainstReference:
         assert glsn_betweenness_exact(g) == {l: _literal_gb(g, l) for l in L_VALUES}
         assert_matches_reference(g, L_VALUES)
 
+    @pytest.mark.parametrize("seed, n, k", [(8, 200, 130), (10, 150, 90)])
+    def test_many_countries_and_a_deep_cap(self, seed, n, k):
+        # country indices past 64; both graphs have valid pairs 7 hops apart,
+        # with six intermediate ports
+        g = _route_graph(seed, n, k)
+        assert len(g.int_view.countries) == k
+        assert_matches_reference(g, (2, 7))
+
     def test_country_bit_merges_two_masks(self):
         # the paths to w carry masks {W} and {W, Z}; adding w's bit Z makes
         # them one mask, whose counts must add up
@@ -559,6 +581,42 @@ class TestAgainstReference:
         assert valid_shortest_path_profile(g, "a", "t", 4) == (2, {"W": 2, "Z": 2})
         assert glsn_betweenness_exact(g) == {l: _literal_gb(g, l) for l in L_VALUES}
         assert_matches_reference(g, L_VALUES)
+
+
+def _diamonds(k):
+    """Ports m000 .. m{k}, m{i-1} and m{i} joined through a{i} and b{i}: 2**k
+    shortest paths from m000 to m{k}. Countries alternate along the chain."""
+    country_of = {"m000": "C0"}
+    edges = []
+    for i in range(1, k + 1):
+        country_of.update({f"a{i:03d}": f"C{i % 3}", f"b{i:03d}": f"C{i % 3}",
+                           f"m{i:03d}": f"C{(i + 1) % 3}"})
+        edges += [(f"m{i - 1:03d}", f"{x}{i:03d}") for x in "ab"]
+        edges += [(f"{x}{i:03d}", f"m{i:03d}") for x in "ab"]
+    return make_glsn(country_of, edges)
+
+
+class TestPathCountLimit:
+    """fb divides shortest-path counts as doubles, exact below 2**53; from
+    there on it raises instead of losing bits."""
+
+    def test_54_diamonds_raise(self):
+        g = _diamonds(54)
+        assert len(g.country_of) == 163
+        with pytest.raises(DataError, match=r"^2\*\*53 or more shortest paths from port '"):
+            port_betweenness(g)
+        with pytest.raises(DataError, match=r"^2\*\*53 or more shortest paths"):
+            build_index_table(g, g)
+        # gb alone stops the BFS at its cap, where the counts are small
+        assert glsn_betweenness_exact(g, (5,)) == _reference_betweenness(g, (5,))[0]
+
+    def test_52_diamonds_keep_every_bit(self):
+        g = _diamonds(52)
+        assert repr(port_betweenness(g)) == repr(_reference_betweenness(g, (2,))[1])
+
+    def test_group_sums_past_int64_stay_exact(self):
+        keys, sums = glsn.indices._sum_by(np.array([3, 1, 3]), np.array([2**62, 7, 2**62]))
+        assert keys.tolist() == [1, 3] and sums.tolist() == [7, 2**63]
 
 
 def _golden_graph():
@@ -632,14 +690,14 @@ class TestForkedPass:
     def test_failed_block_raises_and_reaps(self, monkeypatch, capfd, failing, raised):
         # with two workers, source 1 is in the child's block and source 0 in
         # this process's; a child that fails sends no result and prints why
-        bfs = glsn.indices._bfs
+        batch = glsn.indices._batch
 
-        def failing_bfs(view, s, *args):
-            if s == failing:
+        def failing_batch(a, src, *args):
+            if failing in src.tolist():
                 raise ZeroDivisionError("planted")
-            return bfs(view, s, *args)
+            return batch(a, src, *args)
 
-        monkeypatch.setattr(glsn.indices, "_bfs", failing_bfs)
+        monkeypatch.setattr(glsn.indices, "_batch", failing_batch)
         g = _golden_graph()
         mask = os.sched_getaffinity(0)
         with pytest.raises(raised):
@@ -665,3 +723,20 @@ class TestForkedPass:
             port_betweenness(g)
         cpus = len(os.sched_getaffinity(0))
         assert forks == ([cpus, 3] if cpus > 1 else [3])
+
+
+class TestMemory:
+    def test_traced_peak_of_one_worker(self, monkeypatch):
+        # one process takes all 300 sources: the dep rows (300 x 300 doubles,
+        # 0.72 MB) and the arrays of one batch at a time; the peak measured
+        # 1.9-2.1 MB on seeds 55-59, against 1.0 MB for the one-source loop
+        g = _fixture_graph(55, 300, 100, 30)
+        g.int_view  # built once per graph, before the pass
+        monkeypatch.setattr(glsn.fork, "worker_count", lambda: 1)
+        tracemalloc.start()
+        try:
+            build_index_table(g, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000

@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 
@@ -48,6 +49,12 @@ def test_parse_routes_bad_seq():
         parse_routes(s("route_id,seq,port_id\nR1,x,A\n"))
 
 
+def test_parse_routes_duplicate_seq_names_both_lines():
+    text = "route_id,seq,port_id\nR1,1,A\nR2,1,A\nR1,2,B\nR1,1,C\n"
+    with pytest.raises(DataError, match="^routes line 5: route 'R1' repeats seq 1 of line 2$"):
+        parse_routes(s(text))
+
+
 def test_parse_routes_negative_capacity():
     with pytest.raises(DataError, match="negative"):
         parse_routes(s(ROUTES), s("route_id,capacity_teu\nR1,-5\n"))
@@ -58,6 +65,17 @@ def test_parse_routes_json():
     (r,) = parse_routes_json(s(text))
     assert r.port_calls == ("A", "B")
     assert r.capacity_teu == 600
+
+
+@pytest.mark.parametrize("cap, shown", [
+    ("true", "True"), ("false", "False"), ('"12"', "'12'"), ("[600]", "[600]"),
+    ("{}", "{}"), ("1" + "0" * 400, "an integer beyond the float range"),
+], ids=["true", "false", "string", "list", "object", "huge-int"])
+def test_parse_routes_json_capacity_must_be_a_number(cap, shown):
+    ok = '{"route_id": "R2", "capacity_teu": 12, "ports": ["A", "B"]}'
+    bad = f'{{"route_id": "R1", "capacity_teu": {cap}, "ports": ["A", "B"]}}'
+    with pytest.raises(DataError, match=f"^routes json entry 1: bad capacity.*{re.escape(shown)}$"):
+        parse_routes_json(s(f"[{ok}, {bad}]"))
 
 
 @pytest.mark.parametrize("entries", [
@@ -117,13 +135,18 @@ def test_parse_routes_meta_short_row():
         parse_routes(s(ROUTES), s("capacity_teu,route_id\n5\n"))
 
 
+# the non-finite numbers of Python's json module; a quoted "nan" is a string,
+# which is not a capacity
+JSON_NUMBER = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 @pytest.mark.parametrize("cap", ["nan", "inf"])
 def test_non_finite_capacity(cap):
     with pytest.raises(DataError, match="non-finite capacity"):
         parse_routes(s(ROUTES), s(f"route_id,capacity_teu\nR1,{cap}\n"))
     with pytest.raises(DataError, match="non-finite capacity"):
         parse_routes_json(
-            s(f'[{{"route_id": "R1", "capacity_teu": "{cap}", "ports": ["A", "B"]}}]')
+            s(f'[{{"route_id": "R1", "capacity_teu": {JSON_NUMBER[cap]}, "ports": ["A", "B"]}}]')
         )
     with pytest.raises(DataError, match="non-finite capacity"):
         ServiceRoute("R1", ("A", "B"), float(cap))
@@ -137,7 +160,7 @@ def test_non_finite_capacity_names_its_line(rid, cap):
                        match=f"^routes_meta line 3: route '{rid}': non-finite capacity {cap}$"):
         parse_routes(s(ROUTES), s(meta))
     ok = '{"route_id": "R2", "ports": ["A", "B"]}'
-    bad = f'{{"route_id": "{rid}", "capacity_teu": "{cap}", "ports": ["A", "B"]}}'
+    bad = f'{{"route_id": "{rid}", "capacity_teu": {JSON_NUMBER[cap]}, "ports": ["A", "B"]}}'
     with pytest.raises(DataError,
                        match=f"^routes json entry 1: route '{rid}': non-finite capacity {cap}$"):
         parse_routes_json(s(f"[{ok}, {bad}]"))
