@@ -403,7 +403,7 @@ def _t_quantile_975(dof: int) -> float:
     1e-12 t, what is left is about its cube."""
     with localcontext(_T_CONTEXT):
         norm, target = _t_norm(dof), 2 * (1 - Decimal(0.975))
-        t = Decimal(_Z975 + sum(g / dof**k for k, g in enumerate(_CORNISH_FISHER, 1)))
+        t = Decimal(math.fsum([_Z975, *(g / dof**k for k, g in enumerate(_CORNISH_FISHER, 1))]))
         while True:
             density = _t_density(t, dof, norm)
             newton = (_t_tail(t, dof, density) - target) / (2 * density)

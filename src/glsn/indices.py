@@ -12,21 +12,28 @@ numbers ports and countries in sorted order. The sources are traversed in
 batches, all of a batch at once, level by level, with numpy arrays: the
 algebraic form of Brandes' algorithm (Brandes, Social Networks 2008; Buluc &
 Gilbert, IJHPCA 2011). A batch holds _BATCH_ELEMENTS // (ports + directed
-edges) sources, at least one. Each level keeps the order of a one-source
-BFS, which is what makes fb's floats the same bits: the dependencies are
-summed level by level from the deepest, each port's terms in reversed BFS
-order. gb is integer counting only: paths are grouped by the countries of
-their intermediate ports, and each target adds its integer delta[c] per
-country under (distance, n_st), so each cap is one exact fraction per
-country. fb runs the BFS over the whole component, while gb alone stops it
-at the largest cap. Shortest-path counts are float64 for fb, exact below
-2**53; a count that reaches 2**53 raises DataError.
+edges) sources, at least one; each numpy call costs about the same fixed
+time whatever its size, so the widest batches pay it the fewest times, and
+_BATCH_ELEMENTS is the widest power of two that keeps one process over a
+300-port graph under a 4 MB traced peak. For fb each level keeps the order
+of a one-source BFS, which is what makes fb's floats the same bits: the
+dependencies are summed level by level from the deepest, each port's terms
+in reversed BFS order. gb is integer counting only and needs no order:
+paths are grouped by the countries of their intermediate ports, and each
+target adds its integer delta[c] per country under (n_st, distance). Each
+worker folds its batches' counts into one sorted pair of arrays, keys and
+sums, so each cap is one exact fraction per country. fb runs the BFS over
+the whole component, while gb alone stops it at the largest cap.
+Shortest-path counts are float64 for fb, exact below 2**53; a count that
+reaches 2**53 raises DataError. gb's counts are int32 or int64 where they
+fit and Python ints where they may not.
 
 Each source's traversal is independent, so the sources are interleaved over
 forked worker processes, one per CPU, through `fork.run_parts` (Bader &
-Madduri, ICPP 2006). The blocks merge exactly: gb's counters are ints, and
-fb sums each port's column once with fsum, so any worker count and any
-batch size give the same bits.
+Madduri, ICPP 2006). A worker sends back its gb keys and sums and, with fb,
+its dep rows. The blocks merge exactly: the gb counts are summed once as
+integers, and fb sums each port's nonzero terms once with fsum, so any
+worker count and any batch size give the same bits.
 """
 
 from __future__ import annotations
@@ -70,45 +77,52 @@ def _check_caps(l_values: tuple[int, ...]) -> None:
         raise DataError("l_values must be positive")
 
 
-_BATCH_ELEMENTS = 1 << 16  # sources x (ports + directed edges) traversed at once
+_BATCH_ELEMENTS = 1 << 17  # sources x (ports + directed edges) traversed at once
 _EXACT = 1 << 53  # float64 holds every integer below this
 
 
 @dataclass(frozen=True)
 class _Arrays:
-    """An IntView as arrays: port i's neighbours, ascending, are
-    indices[indptr[i]:indptr[i + 1]], and its country's bit is
+    """An IntView as arrays: port i's degree[i] neighbours, ascending, are
+    indices[start[i]:start[i] + degree[i]], and its country's bit is
     1 << country[i]."""
 
     ports: list[str]
     n_countries: int
-    indptr: np.ndarray
+    start: np.ndarray
+    degree: np.ndarray
     indices: np.ndarray
     country: np.ndarray
 
     @classmethod
     def of(cls, view: IntView) -> _Arrays:
-        indptr = np.zeros(len(view.adj) + 1, np.int64)
-        np.cumsum([len(a) for a in view.adj], out=indptr[1:])
-        indices = np.fromiter(chain.from_iterable(view.adj), np.int32, int(indptr[-1]))
+        degree = np.array([len(a) for a in view.adj], np.int32)
+        indices = np.fromiter(chain.from_iterable(view.adj), np.int32)
+        start = (np.cumsum(degree) - degree).astype(_int(indices.size))
         country = np.array([b.bit_length() - 1 for b in view.cbit], np.int32)
-        return cls(view.ports, len(view.countries), indptr, indices, country)
+        return cls(view.ports, len(view.countries), start, degree, indices, country)
 
 
 def _int(bound: int) -> type:
-    """int32 if it holds 0 .. bound, else int64."""
-    return np.int32 if bound < 1 << 31 else np.int64
+    """int32 if it holds 0 .. bound, else int64, else Python ints."""
+    return np.int32 if bound < 1 << 31 else np.int64 if bound < 1 << 63 else object
+
+
+def _key(hi: np.ndarray, scale: int, lo) -> np.ndarray:
+    """hi * scale + lo, for 0 <= lo < scale, in the narrowest type of `_int`."""
+    key = hi.astype(_int((int(hi.max(initial=0)) + 1) * scale))
+    key *= scale
+    key += lo
+    return key
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The ranges starts[i], ..., starts[i] + counts[i] - 1, concatenated:
-    the cumulative sum of steps of 1, with a jump where each range starts."""
-    starts, counts = starts[counts > 0], counts[counts > 0]
-    out = np.ones(int(counts.sum()), _int(int((starts + counts).max(initial=0))))
-    if out.size:
-        out[0] = starts[0]
-        out[np.cumsum(counts[:-1])] = starts[1:] - starts[:-1] - counts[:-1] + 1
-        np.cumsum(out, out=out)
+    0, 1, 2, ... shifted by starts[i] less the place where range i starts."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    out = np.arange(total, dtype=_int(total + int(starts.max(initial=0))))
+    out += np.repeat(starts - ends + counts, counts)
     return out
 
 
@@ -117,7 +131,16 @@ def _heads(x: np.ndarray) -> np.ndarray:
     head = np.empty(x.size, bool)
     head[:1] = True
     np.not_equal(x[1:], x[:-1], out=head[1:])
-    return np.flatnonzero(head)
+    return head.nonzero()[0]
+
+
+def _lengths(starts: np.ndarray, total: int) -> np.ndarray:
+    """The lengths of the runs that start at `starts`, ascending, the last
+    ending at total."""
+    out = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=out[:-1])
+    out[-1:] = total - starts[-1:]
+    return out
 
 
 def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,114 +150,126 @@ def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sum_by(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, ascending, and the sum of the values under each, as
-    Python ints where an int64 sum could overflow."""
+    """The distinct keys, ascending, and the sum of the non-negative values
+    under each, in the narrowest type of `_int` that holds the total of all
+    the values."""
     if not keys.size:
         return keys, values
-    if int(values.max()) * values.size >= 1 << 63:
-        values = values.astype(object)
+    values = values.astype(_int(int(values.max()) * values.size), copy=False)
     order, starts = _sorted_runs(keys)
-    return keys[order[starts]], np.add.reduceat(values[order], starts)
+    return keys[order[starts]], np.add.reduceat(values[order], starts, dtype=values.dtype)
 
 
 def _dense(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys, ascending, and the index of each key among them."""
     order, starts = _sorted_runs(keys)
     ids = np.empty(keys.size, _int(keys.size))
-    ids[order] = np.repeat(np.arange(starts.size), np.diff(starts, append=keys.size))
+    ids[order] = np.repeat(np.arange(starts.size, dtype=ids.dtype), _lengths(starts, keys.size))
     return keys[order[starts]], ids
 
 
-def _gb_level(a: _Arrays, at_state: tuple, rows: tuple, masks: np.ndarray, sizes: np.ndarray,
-              ev: np.ndarray, ew: np.ndarray, d: int, last: bool, counted: list) -> tuple:
+def _gb_level(a: _Arrays, at_state: tuple, rows: tuple, masks: np.ndarray, ev: np.ndarray,
+              ew: np.ndarray, d: int, depth_cap: int, counted: list) -> tuple:
     """gb at BFS level d of a batch, from its DAG edges ev -> ew, sorted by ew.
 
     at_state holds per state its port's country index, whether that country
     is not the source's, and whether the port is a target: such a port
     numbered after the source. A row (state, mask id, count) counts the
     shortest paths to a port whose intermediate ports lie in the countries
-    of the mask, none in the source's country; mask id i lists sizes[i]
-    distinct country indices in masks[:sizes[i], i]. The rows of level
+    of the mask, none in the source's country; mask id i lists its distinct
+    country indices in masks[:, i], the unused slots -1. The rows of level
     d - 1, sorted by state, are joined along the edges into ports outside
     the source's country and summed per (state, mask id). A target t > s
     takes the rows whose mask misses t's country: their counts sum to n_st,
-    and each country of a mask adds the row's count under (d, n_st). Those
-    sums go to `counted`. Unless d is the last level, returns the rows,
-    masks and sizes of level d, each mask with its port's country added:
-    one new id per (mask id, country) pair, so two ids may list one set,
-    which only leaves their rows unmerged.
+    and each country of a mask adds the row's count under (n_st, d); see
+    `_count`. Unless d is depth_cap, returns the rows and masks of level d,
+    each mask with its port's country added: the table keeps its ids and
+    takes one new id per (mask id, country) pair, so two ids may list one
+    set, which only leaves their rows unmerged.
     """
     country, foreign, target = at_state
+    last = d == depth_cap
     keep = (target if last else foreign)[ew]
-    state, mask, count = _join(rows, ev[keep], ew[keep], len(sizes), country.size)
+    state, mask, count = _join(rows, ev[keep], ew[keep], masks.shape[1], country.size)
     c = country[state]
-    through = np.zeros(state.size, bool)  # the mask has the port's own country
-    for j in range(len(masks)):
-        through |= masks[j, mask] == c
-    t = (~through & target[state]).nonzero()[0]
-    if t.size:
-        _count(state[t], mask[t], count[t], masks, sizes, a.n_countries, d, counted)
+    through = (masks[:, mask] == c).any(axis=0)  # the mask has the port's own country
+    t = target[state] & ~through
+    if t.any():
+        _count(state[t], mask[t], count[t], masks, d, a.n_countries, depth_cap, counted)
     if last:
-        return rows, masks, sizes
-    # the next table: the masks of rows that keep theirs, then one per pair
-    width = a.n_countries
-    kept, inv = _dense(mask[through])
-    pairs, pair_inv = _dense(mask[~through].astype(_int(len(sizes) * width)) * width + c[~through])
-    old = pairs // width
-    added = masks[:, old]
-    added[sizes[old], np.arange(pairs.size)] = pairs % width
-    mask[through], mask[~through] = inv, kept.size + pair_inv
-    return ((state, mask, count), np.concatenate([masks[:, kept], added], axis=1),
-            np.concatenate([sizes[kept], sizes[old] + 1]))
+        return rows, masks
+    width, ids = a.n_countries, masks.shape[1]
+    new = ~through
+    pairs, inv = _dense(_key(mask[new], width, c[new]))
+    table = np.full((d, ids + pairs.size), -1, np.int32)
+    table[:-1, :ids] = masks
+    table[:-1, ids:] = masks[:, pairs // width]
+    table[-1, ids:] = pairs % width
+    mask[new] = ids + inv
+    return (state, mask, count), table
 
 
 def _join(rows: tuple, ev: np.ndarray, ew: np.ndarray, ids: int, states: int) -> tuple:
     """The rows, sorted by state, joined along the edges ev -> ew, sorted by
     ew, and summed per (state, mask id) of ew, sorted by both."""
     state, mask, count = rows
+    per_state = np.bincount(state, minlength=states)
+    k = per_state[ev]
+    at = _ranges(np.cumsum(per_state)[ev] - k, k)
+    key, count = _sum_by(_key(np.repeat(ew, k), ids, mask[at]), count[at])
+    return (key // ids).astype(np.int32), (key % ids).astype(np.int32), count
+
+
+def _count(state: np.ndarray, mask: np.ndarray, count: np.ndarray, masks: np.ndarray, d: int,
+           width: int, depth_cap: int, counted: list) -> None:
+    """Append to `counted` a (key, count) pair of arrays for the valid rows
+    of level d's targets, sorted by state, with their masks' countries
+    listed: each country index c of a row's mask takes the row's count under
+    the key (n_st * (depth_cap + 1) + d) * width + c."""
     heads = _heads(state)
-    lo, k = np.zeros(states, _int(state.size)), np.zeros(states, _int(state.size))
-    lo[state[heads]] = heads
-    k[state[heads]] = np.diff(heads, append=state.size)
-    at = _ranges(lo[ev], k[ev])
-    key = np.repeat(ew, k[ev]).astype(_int(states * ids))
-    key *= ids
-    key += mask[at]
-    key, count = _sum_by(key, count[at])
-    return (key // ids).astype(np.int32), key % ids, count
+    # count's type holds the total of its values (see `_sum_by`), so any n_st
+    n_st = np.repeat(np.add.reduceat(count, heads, dtype=count.dtype),
+                     _lengths(heads, state.size))
+    listed = masks[:, mask]
+    on = listed >= 0
+    counted.append(_sum_by(_key(np.broadcast_to(n_st, on.shape)[on], (depth_cap + 1) * width,
+                                d * width + listed[on]), np.broadcast_to(count, on.shape)[on]))
 
 
-def _count(state: np.ndarray, mask: np.ndarray, count: np.ndarray, masks: np.ndarray,
-           sizes: np.ndarray, width: int, d: int, counted: list) -> None:
-    """Append to `counted` the sums (d, n_st, country index, count) of the
-    valid rows of level d's targets, sorted by state."""
-    starts = _heads(state)
-    n_st, nid = _dense(np.add.reduceat(count, starts))
-    nid = np.repeat(nid.astype(_int(n_st.size * width)), np.diff(starts, append=state.size))
-    size = sizes[mask]
-    for j in range(int(size.max())):
-        p = (size > j).nonzero()[0]
-        keys, sums = _sum_by(nid[p] * width + masks[j, mask[p]], count[p])
-        counted.append((d, n_st[keys // width], keys % width, sums))
-
-
-def _new_edges(a: _Arrays, front: np.ndarray, seen: np.ndarray) -> tuple:
-    """The edges ev -> ew out of the states of `front` into states not seen,
-    sorted by ew, each ew's in the order found: by the BFS order of ev, then
-    ascending ew; heads[j] starts the edges into the j-th new state, and
-    first[j] is the place of its first edge in that order."""
+def _new_edges(a: _Arrays, front: np.ndarray, unseen: np.ndarray) -> tuple:
+    """The edges ev -> ew out of the states of `front` into unseen states,
+    sorted by ew, each ew's in the order found: by the order of ev in
+    `front`, then ascending ew; heads[j] starts the edges into the j-th new
+    state, and first[j] is the place of its first edge in that order."""
     ports = front % len(a.ports)
-    start = a.indptr[ports]
-    degree = a.indptr[ports + 1] - start
+    degree = a.degree[ports]
     ew = np.repeat(front - ports, degree)
-    ew += a.indices[_ranges(start, degree)]
-    new = ~seen[ew]
-    ev, ew = np.repeat(front, degree)[new], ew[new]
-    int_t = _int(seen.size * ew.size)
+    ew += a.indices[_ranges(a.start[ports], degree)]
+    new = unseen[ew].nonzero()[0]
+    ev, ew = front[np.searchsorted(np.cumsum(degree), new, "right")], ew[new]
+    int_t = _int(unseen.size * ew.size)
     order = np.argsort(ew.astype(int_t) * ew.size + np.arange(ew.size, dtype=int_t))
     ev, ew = ev[order], ew[order]
     heads = _heads(ew)
     return ev, ew, heads, order[heads]
+
+
+def _fb_level(a: _Arrays, src: np.ndarray, sigma: np.ndarray, dag: list, ev: np.ndarray,
+              ew: np.ndarray, heads: np.ndarray, first: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """fb at one BFS level of a batch, from its edges ev -> ew as `_new_edges`
+    gives them and its new states, ascending: sets their sigma, appends the
+    level's edges to `dag` in reversed BFS order of ew, and returns the new
+    states in BFS order."""
+    sig = np.add.reduceat(sigma[ev], heads)
+    if sig.max() >= _EXACT:
+        b, w = divmod(int(level[np.argmax(sig)]), len(a.ports))
+        raise DataError(f"2**53 or more shortest paths from port {a.ports[src[b]]!r} to "
+                        f"{a.ports[w]!r}: such counts are not exact as doubles")
+    sigma[level] = sig
+    bfs = np.argsort(first)
+    e = _ranges(heads[bfs], _lengths(heads, ew.size)[bfs])[::-1]
+    dag.append((ev[e], ew[e]))
+    return level[bfs]
 
 
 def _batch(
@@ -243,52 +278,47 @@ def _batch(
     """gb's counts into `counted` (see `_gb_level`) and, for fb, the dep rows
     into `dep`, (len(src), n), for one batch of sources traversed together.
 
-    Port v seen from src[b] is state b * n + v. Each level is found from the
-    one before in BFS order: the edges out of it in the order of their ports,
-    each port's neighbours ascending, and a new port takes its first edge's
-    place. The BFS runs over the whole component for fb, else to depth_cap.
-    sigma counts shortest paths as float64, exact below 2**53: a count of
-    2**53 or more raises DataError. fb's dep sums the Brandes terms sigma[v] / sigma[w] *
-    (1 + dep[w]) level by level from the deepest, each level's edges in
-    reversed BFS order of w, with np.add.at, which adds in array order: each
-    dep[v] gets its terms in the order of a one-source traversal, so the
-    same bits. The sources and unreached ports keep 0.0.
+    Port v seen from src[b] is state b * n + v. For fb, each level is found
+    from the one before in BFS order: the edges out of it in the order of
+    their ports, each port's neighbours ascending, and a new port takes its
+    first edge's place; gb's integer sums need no order, so gb alone takes
+    each level in state order. The BFS runs over the whole component for fb,
+    else to depth_cap. sigma counts shortest paths as float64, exact below
+    2**53: a count of 2**53 or more raises DataError. fb's dep sums the
+    Brandes terms sigma[v] / sigma[w] * (1 + dep[w]) level by level from the
+    deepest, each level's edges in reversed BFS order of w, with np.add.at,
+    which adds in array order: each dep[v] gets its terms in the order of a
+    one-source traversal, so the same bits. The sources and unreached ports
+    keep 0.0.
     """
     fb = dep is not None
     n = len(a.ports)
     front = np.arange(src.size, dtype=np.int32) * n + src
-    seen = np.zeros(src.size * n, bool)
-    sigma = np.zeros(src.size * n)
-    seen[front] = True
-    sigma[front] = 1.0
+    unseen = np.ones(src.size * n, bool)
+    unseen[front] = False
     country = np.tile(a.country, src.size)
     foreign = country != np.repeat(a.country[src], n)
-    at_state = (country, foreign, foreign & (np.tile(np.arange(n), src.size) > np.repeat(src, n)))
-    rows = (front, np.zeros(src.size, np.int64), np.ones(src.size, np.int64))
-    masks = np.full((max(depth_cap - 1, 0), 1), -1, np.int32)
-    sizes = np.zeros(1, np.int32)
-    dag = []
+    at_state = (country, foreign,
+                foreign & (np.tile(np.arange(n, dtype=np.int32), src.size) > np.repeat(src, n)))
+    rows = (front, np.zeros(src.size, np.int32), np.ones(src.size, np.int32))
+    masks = np.full((0, 1), -1, np.int32)
+    if fb:
+        sigma = np.zeros(src.size * n)
+        sigma[front] = 1.0
+        dag = []
     d = 0
     while front.size and (fb or d < depth_cap):
-        ev, ew, heads, first = _new_edges(a, front, seen)
+        ev, ew, heads, first = _new_edges(a, front, unseen)
         if not ew.size:
             break
-        level, sig = ew[heads], np.add.reduceat(sigma[ev], heads)
-        if sig.max() >= _EXACT:
-            b, w = divmod(int(level[np.argmax(sig)]), n)
-            raise DataError(f"2**53 or more shortest paths from port {a.ports[src[b]]!r} to "
-                            f"{a.ports[w]!r}: such counts are not exact as doubles")
-        seen[level] = True
-        sigma[level] = sig
-        bfs = np.argsort(first)
-        front = level[bfs]
+        front = ew[heads]
+        unseen[front] = False
         if fb:
-            e = _ranges(heads[bfs], np.diff(heads, append=ew.size)[bfs])[::-1]
-            dag.append((ev[e], ew[e]))
+            front = _fb_level(a, src, sigma, dag, ev, ew, heads, first, front)
         d += 1
         if d <= depth_cap:
-            rows, masks, sizes = _gb_level(a, at_state, rows, masks, sizes, ev, ew, d,
-                                           d == depth_cap, counted)
+            rows, masks = _gb_level(a, at_state, rows, masks, ev, ew, d, depth_cap, counted)
+        del ev, ew, heads, first  # free before the next level's are built: a lower peak
     if fb:
         flat = dep.reshape(-1)
         for ev, ew in reversed(dag):
@@ -296,56 +326,30 @@ def _batch(
         dep[np.arange(src.size), src] = 0.0
 
 
-def _buckets(counted: list) -> dict[tuple[int, int], dict[int, int]]:
-    """gb's counters {(distance, n_st): {country bit: count}} from the
-    (distance, n_st, country index, count) groups of `_count`."""
-    if not counted:
-        return {}
-    d = np.concatenate([np.full(len(n_st), d) for d, n_st, _, _ in counted])
-    n_st, nid = _dense(np.concatenate([x[1] for x in counted]))
-    c = np.concatenate([x[2] for x in counted])
-    depths, width = int(d.max()) + 1, int(c.max()) + 1
-    keys, sums = _sum_by((nid.astype(np.int64) * depths + d) * width + c,
-                         np.concatenate([x[3] for x in counted]))
-    buckets: dict[tuple[int, int], dict[int, int]] = {}
-    n_st = n_st.tolist()
-    for key, k in zip(keys.tolist(), sums.tolist()):
-        i, rest = divmod(key, depths * width)
-        buckets.setdefault((rest // width, n_st[i]), {})[1 << rest % width] = k
-    return buckets
-
-
 def _block(
     a: _Arrays, sources: range, depth_cap: int, fb: bool
-) -> tuple[dict[tuple[int, int], dict[int, int]], np.ndarray | None]:
-    """gb's counters and, with fb, the dep rows for the pairs counted from
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """gb's counts and, with fb, the dep rows for the pairs counted from
     `sources`.
 
-    A pair's shortest paths share one length, so each pair s < t, counted
-    from s, adds its integer delta[c] to a counter per country bit under the
-    key (pair distance, n_st). The sources are traversed in batches of
-    _BATCH_ELEMENTS // (ports + directed edges), at least one. The dep rows
-    hold a double per port for each source, in the order of `sources`.
+    A pair's shortest paths share one length d, so each pair s < t, counted
+    from s, adds its integer delta[c] for each country index c under the
+    key (n_st * (depth_cap + 1) + d) * width + c. The sources are traversed
+    in batches of _BATCH_ELEMENTS // (ports + directed edges), at least one,
+    and each batch's counts are summed into the block's as it ends: the
+    distinct keys, ascending, and the count under each. The dep rows hold a
+    double per port for each source, in the order of `sources`.
     """
     size = max(1, _BATCH_ELEMENTS // max(1, len(a.ports) + len(a.indices)))
     src = np.arange(sources.start, sources.stop, sources.step, dtype=np.int32)
-    buckets: dict[tuple[int, int], dict[int, int]] = {}
+    keys, sums = np.zeros(0, np.int64), np.zeros(0, np.int64)
     deps = np.zeros((src.size, len(a.ports))) if fb else None
     for i in range(0, src.size, size):
-        counted: list = []
+        counted = [(keys, sums)]
         _batch(a, src[i:i + size], depth_cap, counted, None if deps is None else deps[i:i + size])
-        _merge(buckets, _buckets(counted))
-    return buckets, deps
-
-
-def _merge(buckets: dict[tuple[int, int], dict[int, int]], part_buckets) -> None:
-    """Add one batch's or block's counters to `buckets`. They are ints, so
-    the sum does not depend on the order of the batches or blocks."""
-    for key, counter in part_buckets.items():
-        into = buckets.setdefault(key, counter)
-        if into is not counter:
-            for bit, k in counter.items():
-                into[bit] = into.get(bit, 0) + k
+        keys, sums = _sum_by(np.concatenate([k for k, _ in counted]),
+                             np.concatenate([x for _, x in counted]))
+    return keys, sums, deps
 
 
 def _betweenness(
@@ -355,38 +359,43 @@ def _betweenness(
 
     The sources are interleaved over `fork.worker_count()` processes, at least
     one and at most one per port, worker i taking sources i, i + workers, ...;
-    each block's counters are merged as it arrives and its dep rows kept. A
-    cap's total sums delta/n_st exactly over the keys within it, as integers
-    over the lcm of all n_st: one Fraction per country and cap.
+    the blocks' counts are summed once, when all have arrived. A cap's total
+    sums delta/n_st exactly over the keys within it, as integers over the
+    lcm of all n_st: one Fraction per country and cap.
     """
     view = g.int_view
     a = _Arrays.of(view)
     n = len(view.adj)
     workers = max(1, min(fork.worker_count(), n))
     depth_cap = max(l_values, default=0)
-    buckets: dict[tuple[int, int], dict[int, int]] = {}
-    parts: list[np.ndarray] = []
-
-    def take(block):
-        _merge(buckets, block[0])
-        parts.append(block[1])
-
+    parts: list[tuple] = []
     fork.run_parts(lambda sources: _block(a, sources, depth_cap, fb),
-                   [range(i, n, workers) for i in range(workers)], take)
+                   [range(i, n, workers) for i in range(workers)], parts.append)
 
-    lcm = math.lcm(*(n_st for _, n_st in buckets))
-    num = {l_max: dict.fromkeys(view.countries, 0) for l_max in l_values}
-    for (d, n_st), counter in buckets.items():
-        for bit, k in counter.items():
-            for l_max, totals in num.items():
-                if d <= l_max:
-                    totals[bit] += k * (lcm // n_st)
-    gb = {l_max: {view.countries[bit]: Fraction(x, lcm) for bit, x in totals.items()}
-          for l_max, totals in num.items()}
+    keys, sums = _sum_by(np.concatenate([part[0] for part in parts]),
+                         np.concatenate([part[1] for part in parts]))
+    # keys are (n_st, distance, country), ascending: scale each count to the
+    # lcm of all n_st, then sum per (distance, country) and over distances
+    countries, span = list(view.countries.values()), (depth_cap + 1) * a.n_countries
+    n_st = keys // span
+    heads = _heads(n_st)
+    distinct = n_st[heads].tolist()
+    lcm = math.lcm(*distinct)
+    scale = np.array([lcm // x for x in distinct], object)
+    num = np.zeros(span, object)
+    np.add.at(num, (keys % span).astype(np.int64),
+              sums.astype(object) * np.repeat(scale, _lengths(heads, keys.size)))
+    num = num.reshape(depth_cap + 1, a.n_countries).cumsum(axis=0).tolist()
+    gb = {l_max: {country: Fraction(x, lcm) for country, x in zip(countries, num[l_max])}
+          for l_max in l_values}
+    if not fb:
+        return gb, None
     # each unordered pair is seen from both endpoints; fsum rounds once, so
-    # neither the row order nor the 0.0 terms of unreached ports change it
-    return gb, {p: math.fsum(chain.from_iterable(d[:, i].tolist() for d in parts)) / 2.0
-                for i, p in enumerate(view.ports)} if fb else None
+    # neither the order of a port's terms nor its 0.0 terms change the sum
+    columns = [part[2].T for part in parts]  # columns[j][i]: port i's terms from part j
+    return gb, {p: math.fsum(chain.from_iterable(
+                    x[x != 0.0].tolist() for x in (c[i] for c in columns))) / 2.0
+                for i, p in enumerate(view.ports)}
 
 
 def _floats(gb: dict[int, dict[str, Fraction]]) -> dict[int, dict[str, float]]:

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import tracemalloc
@@ -222,6 +223,26 @@ def _two_components_and_isolated(seed):
     return make_glsn(country_of, edges)
 
 
+def _in_process(fn, parts, take):
+    """`fork.run_parts` with every worker's part run in this process, so
+    that its batches are seen."""
+    for part in parts:
+        take(fn(part))
+
+
+@functools.cache
+def _seed55_graph():
+    return _fixture_graph(55, 300, 100, 30)
+
+
+@functools.cache
+def _default_pass(graph):
+    """repr of build_index_table and of gb alone, at the default batch size
+    and worker count."""
+    g = _two_components_and_isolated(3) if graph == "two_components" else _seed55_graph()
+    return repr(build_index_table(g, g)), repr(glsn_betweenness_exact(g))
+
+
 class TestSharedPass:
     """build_index_table takes gb and fb from one BFS per port; each must
     equal what the gb-only and fb-only callers compute."""
@@ -244,21 +265,43 @@ class TestSharedPass:
             batches.append([a.ports[s] for s in src.tolist()])
             return batch(a, src, *args)
 
-        def in_process(fn, parts, take):
-            # every worker's part runs here, so that its batches are seen
-            for part in parts:
-                take(fn(part))
-
         g = _two_components_and_isolated(3)
         # batches of three sources over three workers
         per_source = len(g.country_of) + 2 * len(g.edges)
         monkeypatch.setattr(glsn.indices, "_BATCH_ELEMENTS", 3 * per_source + 1)
         monkeypatch.setattr(glsn.fork, "worker_count", lambda: 3)
-        monkeypatch.setattr(glsn.fork, "run_parts", in_process)
+        monkeypatch.setattr(glsn.fork, "run_parts", _in_process)
         monkeypatch.setattr(glsn.indices, "_batch", counted)
         build_index_table(g, g)
         assert sorted(p for b in batches for p in b) == g.nodes()
         assert max(map(len, batches)) == 3 and len(batches) > 3
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("per_batch", [1, 3, "block"])
+    @pytest.mark.parametrize("graph", ["two_components", "seed55"])
+    def test_any_batch_size_gives_the_same_bits(self, monkeypatch, graph, per_batch, workers):
+        # gb's counts are ints and fb sums each port once with fsum, so how
+        # the sources are cut into batches and blocks changes no bit
+        g = _two_components_and_isolated(3) if graph == "two_components" else _seed55_graph()
+        n = len(g.country_of)
+        per_source = n + 2 * len(g.edges)
+        block = -(-n // workers)
+        sizes = []
+        batch = glsn.indices._batch
+
+        def counted(a, src, *args):
+            sizes.append(src.size)
+            return batch(a, src, *args)
+
+        monkeypatch.setattr(glsn.indices, "_BATCH_ELEMENTS",
+                            (block if per_batch == "block" else per_batch) * per_source)
+        monkeypatch.setattr(glsn.fork, "worker_count", lambda: workers)
+        monkeypatch.setattr(glsn.fork, "run_parts", _in_process)
+        monkeypatch.setattr(glsn.indices, "_batch", counted)
+        table, gb = _default_pass(graph)
+        assert repr(build_index_table(g, g)) == table
+        assert repr(glsn_betweenness_exact(g)) == gb
+        assert max(sizes) == (block if per_batch == "block" else per_batch)
 
 
 def _relabel(g, country, prefix=""):
@@ -596,6 +639,19 @@ def _diamonds(k):
     return make_glsn(country_of, edges)
 
 
+def _foreign_diamonds(k):
+    """s, m000, then k diamonds like those of `_diamonds`, then t: 2**k
+    shortest paths from s to t, every intermediate port in country A or B,
+    neither that of s nor that of t."""
+    country_of = {"s": "X", "t": "Y", "m000": "B"}
+    edges = [("s", "m000"), (f"m{k:03d}", "t")]
+    for i in range(1, k + 1):
+        country_of.update({f"a{i:03d}": "A", f"b{i:03d}": "A", f"m{i:03d}": "B"})
+        edges += [(f"m{i - 1:03d}", f"{x}{i:03d}") for x in "ab"]
+        edges += [(f"{x}{i:03d}", f"m{i:03d}") for x in "ab"]
+    return make_glsn(country_of, edges)
+
+
 class TestPathCountLimit:
     """fb divides shortest-path counts as doubles, exact below 2**53; from
     there on it raises instead of losing bits."""
@@ -613,6 +669,14 @@ class TestPathCountLimit:
     def test_52_diamonds_keep_every_bit(self):
         g = _diamonds(52)
         assert repr(port_betweenness(g)) == repr(_reference_betweenness(g, (2,))[1])
+
+    def test_gb_alone_counts_past_int64_exactly(self):
+        # gb counts in integers only, so 2**64 valid shortest paths 130 hops
+        # long raise nothing and give the reference's Fractions
+        g = _foreign_diamonds(64)
+        assert glsn_betweenness_exact(g, (130,)) == _reference_betweenness(g, (130,))[0]
+        with pytest.raises(DataError, match=r"^2\*\*53 or more shortest paths"):
+            port_betweenness(g)
 
     def test_group_sums_past_int64_stay_exact(self):
         keys, sums = glsn.indices._sum_by(np.array([3, 1, 3]), np.array([2**62, 7, 2**62]))
@@ -725,18 +789,32 @@ class TestForkedPass:
         assert forks == ([cpus, 3] if cpus > 1 else [3])
 
 
-class TestMemory:
-    def test_traced_peak_of_one_worker(self, monkeypatch):
-        # one process takes all 300 sources: the dep rows (300 x 300 doubles,
-        # 0.72 MB) and the arrays of one batch at a time; the peak measured
-        # 1.9-2.1 MB on seeds 55-59, against 1.0 MB for the one-source loop
-        g = _fixture_graph(55, 300, 100, 30)
-        g.int_view  # built once per graph, before the pass
-        monkeypatch.setattr(glsn.fork, "worker_count", lambda: 1)
+def _traced_peak(run):
+    """tracemalloc's peak while one process runs `run` over all 300 sources
+    of the seed-55 fixture."""
+    g = _seed55_graph()
+    g.int_view  # built once per graph, before the pass
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(glsn.fork, "worker_count", lambda: 1)
         tracemalloc.start()
         try:
-            build_index_table(g, g)
-            peak = tracemalloc.get_traced_memory()[1]
+            run(g)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4_000_000
+
+
+class TestMemory:
+    """One process takes all 300 sources, 46 a batch: the peak holds fb's
+    dep rows (300 x 300 doubles, 0.72 MB) and the arrays of one batch. On
+    seeds 55-59 it measured 2.55-2.61 MB for the table and 1.54-1.61 MB for
+    gb alone; at 23 sources a batch, the kernel before the batch-wide gb
+    reduction measured 1.9-2.1 MB and 1.1-1.2 MB, and the one-source loop
+    before it 1.0 MB for the table."""
+
+    def test_traced_peak_of_one_worker(self):
+        assert _traced_peak(lambda g: build_index_table(g, g)) < 4_000_000
+
+    def test_traced_peak_of_gb_alone(self):
+        # the path fixture.generate takes for every dataset, there at L = 2
+        assert _traced_peak(glsn_betweenness_exact) < 4_000_000
