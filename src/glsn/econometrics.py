@@ -35,6 +35,17 @@ of a subset's fit therefore comes from the same operations, in the same order,
 as a fit of that subset alone: the walk's table equals per-subset fits bit for
 bit. `ols_fit` and `vif` run the same column step along a single chain.
 
+What is left of a fit once its node exists (the response's second pass, the
+residual, the RSS) runs in batches of subsets of one size, stacked so that
+each numpy call covers a batch: `_Walk.reports`. A batch is flushed once its
+stacked (subsets, size, observations) columns reach _FIT_BATCH_ELEMENTS, and
+its nodes wait without the first passes that only their children need. The
+bits hold whatever shares a batch: numpy does only elementwise IEEE
+operations on the stacked arrays, the residual's running sums are
+np.add.accumulate along the columns, which adds them one after another in
+the order a single fit takes, and each dot product is one fsum of its own
+row. `ols_fit` fits its chain as a batch of one.
+
 From _FORK_MIN_SUBSETS subsets on, the walk's depth-first order is cut into
 equal contiguous ranges, one per forked worker of `fork.run_parts`, as the
 gb/fb pass splits its sources. A worker extends only the nodes of its range
@@ -85,6 +96,14 @@ AIC_TIE_BAND = 2.0
 # workers, 2.6 against 6.3 ms for 15 subsets, 11.0 against 11.6 ms for 63,
 # 23.4 against 18.4 ms for 127 and 49.3 against 39.4 ms for 255.
 _FORK_MIN_SUBSETS = 127
+# Selection fits the subsets of one size in batches of about this many
+# elements of their stacked (subsets, size, observations) columns; a waiting
+# node keeps no pending first pass. At k = 12 and 150 rows, in one process,
+# select_model's tracemalloc peak was 2.63 MB a fit at a time, 3.25 MB at
+# 1 << 13, 5.96 MB at 1 << 15, and 9.87 MB at 1 << 16 with whole nodes
+# waiting. On two workers 1 << 13 took 14% off that selection's wall time and
+# raised its peak RSS by 0.9 MB (2-vCPU x86-64 VM).
+_FIT_BATCH_ELEMENTS = 1 << 13
 # where the coefficients start in RegressionReport.packed, after r2, adjusted
 # R^2, AIC and RSS
 _COEF = 4
@@ -263,26 +282,23 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _residual(
-    y: np.ndarray,
-    intercept: float,
-    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    slopes: list[float],
-) -> np.ndarray:
-    """y - intercept - sum_j x_j slope_j, elementwise, as if in twice the
-    working precision and rounded once (Ogita, Rump & Oishi's Dot2: error-free
-    products and sums); each column comes with its Veltkamp halves. The fit
-    cancels most of y, so a plainly rounded residual would lose the last
-    digits of the RSS."""
-    s, comp = _two_sum(y, -intercept)
-    for (x, x_hi, x_lo), slope in zip(columns, slopes):
-        b = -slope
-        b_hi, b_lo = _split(b)
-        prod = x * b
-        prod_err = ((x_hi * b_hi - prod) + (x_lo * b_hi + x_hi * b_lo)) + x_lo * b_lo
-        s, err = _two_sum(s, prod)
-        comp = comp + (err + prod_err)
-    return s + comp
+def _two_product(x, x_hi, x_lo, b):
+    """x * b and its rounding error, which add up to the exact product
+    (Dekker's product, with x's Veltkamp halves given)."""
+    b_hi, b_lo = _split(b)
+    p = x * b
+    return p, ((x_hi * b_hi - p) + (x_lo * b_hi + x_hi * b_lo)) + x_lo * b_lo
+
+
+def _second_pass_coefs(q: np.ndarray, v: np.ndarray) -> list[list[float]]:
+    """Gram-Schmidt's second pass of each row of v, shape (B, n), against its
+    own q's, shape (B, m, n): for each q, the coefficient of every row."""
+    coefs = []
+    for i in range(q.shape[1]):
+        cs = list(map(math.fsum, (v * q[:, i]).tolist()))
+        v = v - np.array(cs)[:, None] * q[:, i]
+        coefs.append(cs)
+    return coefs
 
 
 def _row_sum_squares(inv: tuple[list[float], ...]) -> list[float]:
@@ -464,8 +480,10 @@ class _Walk:
         self.names = design.variables
         self.n = design.n_obs
         self.y = design.y
-        raw = [np.ascontiguousarray(design.x[:, j]) for j in range(design.x.shape[1])]
-        self.columns = [(col, *_split(col)) for col in raw]
+        # the candidates' columns as rows, and their Veltkamp halves
+        self.x = np.ascontiguousarray(design.x.T)
+        self.x_hi, self.x_lo = _split(self.x)
+        raw = list(self.x)
         self.means = [_mean(col) for col in raw]
         self.centered = [col - mean for col, mean in zip(raw, self.means)]
         self.norms2 = [_dot(c, c) for c in self.centered]
@@ -522,7 +540,7 @@ class _Walk:
 
     def chain(self) -> _Node:
         """The node of every column, in design order."""
-        node = self.root(range(len(self.columns)))
+        node = self.root(range(len(self.names)))
         while node.pending:
             node = self.extend(node, 0)
         return node
@@ -544,46 +562,67 @@ class _Walk:
                     yield from self.subtree(child, max_size, lo - 1, hi - 1)
             lo, hi = lo - size, hi - size
 
-    def report(self, node: _Node) -> RegressionReport:
-        """The least-squares fit of y on the node's columns plus intercept."""
-        n, k_vars = self.n, len(node.cols)
-        k_params = k_vars + 1
-        variables = tuple(self.names[c] for c in node.cols)
-        r = node.r
-        z, _ = _second_pass(node.q, *node.y_pass)
+    def _rss(self, cols: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray) -> list[float]:
+        """The RSS of each row's fit, given its columns, slopes and intercept.
+        The residual y - intercept - sum_j x_j slope_j is evaluated
+        elementwise as if in twice the working precision and rounded once
+        (Ogita, Rump & Oishi's Dot2: error-free products and sums): the fit
+        cancels most of y, so a plainly rounded residual would lose the last
+        digits of the RSS."""
+        prod, prod_err = _two_product(
+            self.x[cols], self.x_hi[cols], self.x_lo[cols], -slopes[:, :, None])
+        s0, comp0 = _two_sum(self.y, -intercepts[:, None])
+        s = np.add.accumulate(np.concatenate([s0[:, None], prod], axis=1), axis=1)
+        _, err = _two_sum(s[:, :-1], prod)
+        comp = np.add.accumulate(
+            np.concatenate([comp0[:, None], err + prod_err], axis=1), axis=1)
+        resid = s[:, -1] + comp[:, -1]
+        return list(map(math.fsum, (resid * resid).tolist()))
 
-        slopes = [0.0] * k_vars
-        for j in range(k_vars - 1, -1, -1):
-            slopes[j] = math.fsum(
-                [z[j]] + [-r[l][j] * slopes[l] for l in range(j + 1, k_vars)]
-            ) / r[j][j]
-        intercept = math.fsum(
-            [self.y_mean] + [-b * self.means[c] for b, c in zip(slopes, node.cols)]
-        )
+    def reports(self, nodes: list[_Node]) -> list[RegressionReport]:
+        """The least-squares fits of y on each node's columns plus intercept,
+        for nodes of one size m, in their order. Row b of each stacked array
+        holds node b's bits whatever else is in the batch (see the module
+        docstring)."""
+        n, size, m = self.n, len(nodes), len(nodes[0].cols)
+        second = _second_pass_coefs(
+            np.array([node.q for node in nodes]).reshape(size, m, n),
+            np.array([node.y_pass[1] for node in nodes]).reshape(size, n))
+        slopes, intercepts = [], []
+        for at, node in enumerate(nodes):
+            z = [c + cs[at] for c, cs in zip(node.y_pass[0], second)]
+            r, b = node.r, [0.0] * m
+            for j in range(m - 1, -1, -1):
+                b[j] = math.fsum([z[j]] + [-r[l][j] * b[l] for l in range(j + 1, m)]) / r[j][j]
+            slopes.append(b)
+            intercepts.append(math.fsum(
+                [self.y_mean] + [-bj * self.means[c] for bj, c in zip(b, node.cols)]))
+        rss_all = self._rss(
+            np.array([node.cols for node in nodes], dtype=np.intp).reshape(size, m),
+            np.array(slopes).reshape(size, m), np.array(intercepts))
 
-        resid = _residual(
-            self.y, intercept, [self.columns[c] for c in node.cols], slopes
-        )
-        rss = _dot(resid, resid)
-        r2 = 1.0 if self.tss == 0 else 1.0 - rss / self.tss
-        r2 = min(max(r2, 0.0), 1.0)
+        k_params = m + 1
+        out = []
+        for node, b, intercept, rss in zip(nodes, slopes, intercepts, rss_all):
+            r2 = 1.0 if self.tss == 0 else 1.0 - rss / self.tss
+            r2 = min(max(r2, 0.0), 1.0)
 
-        # diagonal of (X'X)^-1 for [1 X]: 1/n + ||R^-T mean||^2 for the intercept,
-        # squared row norms of R^-1 for the slopes
-        row_ss = _row_sum_squares(node.inv)
-        diag = [math.fsum([1.0 / n] + [t * t for t in node.mean_proj])] + row_ss
+            # diagonal of (X'X)^-1 for [1 X]: 1/n + ||R^-T mean||^2 for the
+            # intercept, squared row norms of R^-1 for the slopes
+            row_ss = _row_sum_squares(node.inv)
+            diag = [math.fsum([1.0 / n] + [t * t for t in node.mean_proj])] + row_ss
 
-        dof = n - k_params
-        sigma2 = rss / dof
-        ses = [math.sqrt(max(sigma2 * d, 0.0)) for d in diag]
-        vifs = _vif_values([self.norms2[c] for c in node.cols], row_ss)
-        fit = [r2, adjusted_r2_value(r2, n, k_vars), aic_value(n, rss, k_params), rss]
-        return RegressionReport(
-            variables=variables,
-            n_obs=n,
-            k_params=k_params,
-            packed=array("d", fit + [intercept] + slopes + ses + vifs),
-        )
+            sigma2 = rss / (n - k_params)
+            ses = [math.sqrt(max(sigma2 * d, 0.0)) for d in diag]
+            vifs = _vif_values([self.norms2[c] for c in node.cols], row_ss)
+            fit = [r2, adjusted_r2_value(r2, n, m), aic_value(n, rss, k_params), rss]
+            out.append(RegressionReport(
+                variables=tuple(self.names[c] for c in node.cols),
+                n_obs=n,
+                k_params=k_params,
+                packed=array("d", fit + [intercept] + b + ses + vifs),
+            ))
+        return out
 
 
 def ols_fit(design: DesignMatrix) -> RegressionReport:
@@ -591,7 +630,7 @@ def ols_fit(design: DesignMatrix) -> RegressionReport:
     n, k_vars = design.x.shape
     _check_dof(n, k_vars + 1)
     walk = _Walk(design)
-    return walk.report(walk.chain())
+    return walk.reports([walk.chain()])[0]
 
 
 def vif(design: DesignMatrix) -> dict[str, float]:
@@ -683,9 +722,21 @@ def select_model(
                                         admissible=r.max_vif < vif_threshold)
                            for r in reports)
 
-        fork.run_parts(
-            lambda part: [walk.report(node) for node in walk.subtree(root, max_size, *part)],
-            [(fits * i // w, fits * (i + 1) // w) for i in range(w)], take)
+        def fit_range(part):
+            reports, batches = [], {}
+            for node in walk.subtree(root, max_size, *part):
+                m = len(node.cols)
+                batch = batches.setdefault(m, [])
+                batch.append(node._replace(pending=()))  # a fit needs no later candidate
+                if len(batch) * m * n >= _FIT_BATCH_ELEMENTS:
+                    reports += walk.reports(batch)
+                    batch.clear()
+            for batch in batches.values():
+                if batch:
+                    reports += walk.reports(batch)
+            return reports
+
+        fork.run_parts(fit_range, [(fits * i // w, fits * (i + 1) // w) for i in range(w)], take)
     if k >= first_unfit:
         _check_dof(n, first_unfit + 1)
     results.sort(key=lambda r: (len(r.variables), r.variables))
