@@ -717,11 +717,6 @@ def select_model(
         fits = _subtree_size(k, max_size) - 1  # the root is the empty subset
         w = min(fork.worker_count(), fits) if fits >= _FORK_MIN_SUBSETS else 1
 
-        def take(reports):
-            results.extend(SubsetResult(variables=r.variables, report=r,
-                                        admissible=r.max_vif < vif_threshold)
-                           for r in reports)
-
         def fit_range(part):
             reports, batches = [], {}
             for node in walk.subtree(root, max_size, *part):
@@ -736,7 +731,10 @@ def select_model(
                     reports += walk.reports(batch)
             return reports
 
-        fork.run_parts(fit_range, [(fits * i // w, fits * (i + 1) // w) for i in range(w)], take)
+        parts = fork.run_parts(fit_range, [(fits * i // w, fits * (i + 1) // w) for i in range(w)])
+        results = [SubsetResult(variables=r.variables, report=r,
+                                admissible=r.max_vif < vif_threshold)
+                   for reports in parts for r in reports]
     if k >= first_unfit:
         _check_dof(n, first_unfit + 1)
     results.sort(key=lambda r: (len(r.variables), r.variables))

@@ -2,11 +2,10 @@
 
 `run_parts` calls `fn` on each part: part 0 in this process, every other part
 in a child forked with plain `os.fork`, which pickles its result back over a
-pipe and always leaves through `os._exit`. The results reach `take` in part
-order, each as soon as it is loaded, so the caller can merge them one at a
-time. A `DataError` raised by `fn` in a child is sent back and raised here;
-any other failure of a child prints its traceback and sends nothing, and the
-call raises `RuntimeError`. There is no serial fallback.
+pipe and always leaves through `os._exit`. The results come back as a list
+in part order. A `DataError` raised by `fn` in a child is sent back and
+raised here; any other failure of a child prints its traceback and sends
+nothing, and the call raises `RuntimeError`. There is no serial fallback.
 """
 
 from __future__ import annotations
@@ -54,9 +53,8 @@ def _child(fd: int, fn: Callable[[P], R], part: P, cpu: int | None) -> None:
         os._exit(code)
 
 
-def run_parts(fn: Callable[[P], R], parts: Sequence[P], take: Callable[[R], None]) -> None:
-    """Call take(fn(part)) for every part, in part order, with parts 1.. run
-    in forked children.
+def run_parts(fn: Callable[[P], R], parts: Sequence[P]) -> list[R]:
+    """[fn(part) for part in parts], with parts 1.. run in forked children.
 
     When there are two or more parts, one per CPU of this process's mask,
     each process is pinned to its own CPU, this one to the first, and this
@@ -86,7 +84,7 @@ def run_parts(fn: Callable[[P], R], parts: Sequence[P], take: Callable[[R], None
             children.append((pid, open(r, "rb")))
         if pin:
             os.sched_setaffinity(0, {cpus[0]})
-        take(fn(parts[0]))
+        results = [fn(parts[0])]
         for i, (_, f) in enumerate(children, 1):
             try:
                 error, result = pickle.load(f)  # bytes from this call's own children
@@ -94,7 +92,7 @@ def run_parts(fn: Callable[[P], R], parts: Sequence[P], take: Callable[[R], None
                 raise RuntimeError(f"worker {i} of {len(parts)} sent no result") from None
             if error is not None:
                 raise error
-            take(result)
+            results.append(result)
         done = True
     finally:
         if pin:
@@ -104,3 +102,4 @@ def run_parts(fn: Callable[[P], R], parts: Sequence[P], take: Callable[[R], None
             if not done:
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    return results

@@ -6,7 +6,6 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 from .model import DataError, Port, ServiceRoute
@@ -48,17 +47,6 @@ def route_edge_weight(n: int, capacity_teu: float | None, scheme: WeightScheme) 
 
 
 @dataclass(frozen=True)
-class IntView:
-    """A Glsn on ints: port i is ports[i] (sorted), adj[i] lists its neighbours
-    ascending, and cbit[i] is its country's bit in `countries`."""
-
-    ports: list[str]
-    countries: dict[int, str]  # 1 << j -> the j-th country code in sorted order
-    adj: list[list[int]]
-    cbit: list[int]
-
-
-@dataclass(frozen=True)
 class Glsn:
     """Undirected port graph. Edge keys are lexicographically ordered pairs."""
 
@@ -86,17 +74,6 @@ class Glsn:
 
     def weight(self, u: str, v: str) -> float:
         return self.edges.get((min(u, v), max(u, v)), 0.0)
-
-    @cached_property
-    def int_view(self) -> IntView:
-        """Built on first use and kept. Sorted names become ascending ints, so a
-        traversal over the view visits ports in the same order as over names."""
-        ports, nbrs = self.nodes(), self.neighbors()
-        index = {p: i for i, p in enumerate(ports)}
-        countries = {1 << j: c for j, c in enumerate(sorted(set(self.country_of.values())))}
-        bit = {c: b for b, c in countries.items()}
-        adj = [[index[q] for q in nbrs[p]] for p in ports]
-        return IntView(ports, countries, adj, [bit[self.country_of[p]] for p in ports])
 
 
 def build_glsn(

@@ -7,7 +7,7 @@ different from both endpoint countries. The country betweenness index (gb)
 credits each country with the fraction of valid shortest paths it mediates;
 Freeman betweenness (fb) sums classical port betweenness per country.
 
-Both come from one traversal per source port over `Glsn.int_view`, which
+Both come from one traversal per source port over `_Arrays`, which
 numbers ports and countries in sorted order. The sources are traversed in
 batches, all of a batch at once, level by level, with numpy arrays: the
 algebraic form of Brandes' algorithm (Brandes, Social Networks 2008; Buluc &
@@ -46,7 +46,7 @@ from itertools import chain
 import numpy as np
 
 from . import fork
-from .graph import Glsn, IntView, port_counts
+from .graph import Glsn, port_counts
 from .model import DataError
 
 L_VALUES = (2, 3, 4, 5)
@@ -83,24 +83,28 @@ _EXACT = 1 << 53  # float64 holds every integer below this
 
 @dataclass(frozen=True)
 class _Arrays:
-    """An IntView as arrays: port i's degree[i] neighbours, ascending, are
-    indices[start[i]:start[i] + degree[i]], and its country's bit is
-    1 << country[i]."""
+    """A Glsn on ints, ports and countries numbered in sorted order: port i is
+    ports[i], its degree[i] neighbours, ascending, are indices[start[i]:
+    start[i] + degree[i]], and its country is countries[country[i]]."""
 
     ports: list[str]
-    n_countries: int
+    countries: list[str]
     start: np.ndarray
     degree: np.ndarray
     indices: np.ndarray
     country: np.ndarray
 
     @classmethod
-    def of(cls, view: IntView) -> _Arrays:
-        degree = np.array([len(a) for a in view.adj], np.int32)
-        indices = np.fromiter(chain.from_iterable(view.adj), np.int32)
+    def of(cls, g: Glsn) -> _Arrays:
+        ports, nbrs = g.nodes(), g.neighbors()
+        index = {p: i for i, p in enumerate(ports)}
+        countries = sorted(set(g.country_of.values()))
+        number = {c: j for j, c in enumerate(countries)}
+        degree = np.array([len(nbrs[p]) for p in ports], np.int32)
+        indices = np.fromiter((index[q] for p in ports for q in nbrs[p]), np.int32)
         start = (np.cumsum(degree) - degree).astype(_int(indices.size))
-        country = np.array([b.bit_length() - 1 for b in view.cbit], np.int32)
-        return cls(view.ports, len(view.countries), start, degree, indices, country)
+        country = np.array([number[g.country_of[p]] for p in ports], np.int32)
+        return cls(ports, countries, start, degree, indices, country)
 
 
 def _int(bound: int) -> type:
@@ -188,17 +192,17 @@ def _gb_level(a: _Arrays, at_state: tuple, rows: tuple, masks: np.ndarray, ev: n
     set, which only leaves their rows unmerged.
     """
     country, foreign, target = at_state
-    last = d == depth_cap
+    width, last = len(a.countries), d == depth_cap
     keep = (target if last else foreign)[ew]
     state, mask, count = _join(rows, ev[keep], ew[keep], masks.shape[1], country.size)
     c = country[state]
     through = (masks[:, mask] == c).any(axis=0)  # the mask has the port's own country
     t = target[state] & ~through
     if t.any():
-        _count(state[t], mask[t], count[t], masks, d, a.n_countries, depth_cap, counted)
+        _count(state[t], mask[t], count[t], masks, d, width, depth_cap, counted)
     if last:
         return rows, masks
-    width, ids = a.n_countries, masks.shape[1]
+    ids = masks.shape[1]
     new = ~through
     pairs, inv = _dense(_key(mask[new], width, c[new]))
     table = np.full((d, ids + pairs.size), -1, np.int32)
@@ -363,20 +367,18 @@ def _betweenness(
     sums delta/n_st exactly over the keys within it, as integers over the
     lcm of all n_st: one Fraction per country and cap.
     """
-    view = g.int_view
-    a = _Arrays.of(view)
-    n = len(view.adj)
+    a = _Arrays.of(g)
+    n = len(a.ports)
     workers = max(1, min(fork.worker_count(), n))
     depth_cap = max(l_values, default=0)
-    parts: list[tuple] = []
-    fork.run_parts(lambda sources: _block(a, sources, depth_cap, fb),
-                   [range(i, n, workers) for i in range(workers)], parts.append)
+    parts = fork.run_parts(lambda sources: _block(a, sources, depth_cap, fb),
+                           [range(i, n, workers) for i in range(workers)])
 
     keys, sums = _sum_by(np.concatenate([part[0] for part in parts]),
                          np.concatenate([part[1] for part in parts]))
     # keys are (n_st, distance, country), ascending: scale each count to the
     # lcm of all n_st, then sum per (distance, country) and over distances
-    countries, span = list(view.countries.values()), (depth_cap + 1) * a.n_countries
+    span = (depth_cap + 1) * len(a.countries)
     n_st = keys // span
     heads = _heads(n_st)
     distinct = n_st[heads].tolist()
@@ -385,8 +387,8 @@ def _betweenness(
     num = np.zeros(span, object)
     np.add.at(num, (keys % span).astype(np.int64),
               sums.astype(object) * np.repeat(scale, _lengths(heads, keys.size)))
-    num = num.reshape(depth_cap + 1, a.n_countries).cumsum(axis=0).tolist()
-    gb = {l_max: {country: Fraction(x, lcm) for country, x in zip(countries, num[l_max])}
+    num = num.reshape(depth_cap + 1, len(a.countries)).cumsum(axis=0).tolist()
+    gb = {l_max: {country: Fraction(x, lcm) for country, x in zip(a.countries, num[l_max])}
           for l_max in l_values}
     if not fb:
         return gb, None
@@ -395,7 +397,7 @@ def _betweenness(
     columns = [part[2].T for part in parts]  # columns[j][i]: port i's terms from part j
     return gb, {p: math.fsum(chain.from_iterable(
                     x[x != 0.0].tolist() for x in (c[i] for c in columns))) / 2.0
-                for i, p in enumerate(view.ports)}
+                for i, p in enumerate(a.ports)}
 
 
 def _floats(gb: dict[int, dict[str, Fraction]]) -> dict[int, dict[str, float]]:
@@ -474,7 +476,9 @@ def build_index_table(
     lsci: dict[str, float | None] | None = None,
 ) -> CountryIndexTable:
     """Full index table: connectivity on the requested weighting, betweenness
-    on the (scheme-independent) structure, gb and fb from one BFS per port."""
+    on the (scheme-independent) structure, gb and fb from one BFS per port.
+    Every caller passes one graph twice, but the benchmark's `indices_1000`
+    calls build_index_table(g, g, caps), so the two-graph signature stays."""
     _check_caps(l_values)
     gc, gc_norm = country_connectivity(g_weighted)
     gb, b = _betweenness(g_structure, l_values, fb=True)

@@ -632,8 +632,10 @@ class TestForkedWalk:
         parts = []
         run_parts = glsn.fork.run_parts
 
-        def recorded(fn, ranges, take):
-            return run_parts(lambda part: (part, len(fn(part))), ranges, parts.append)
+        def recorded(fn, ranges):
+            results = run_parts(fn, ranges)
+            parts.extend((part, len(r)) for part, r in zip(ranges, results))
+            return results
 
         monkeypatch.setattr(glsn.fork, "run_parts", recorded)
         monkeypatch.setattr(glsn.fork, "worker_count", lambda: 2)
@@ -644,9 +646,9 @@ class TestForkedWalk:
         forks = []
         run_parts = glsn.fork.run_parts
 
-        def counted(fn, parts, take):
+        def counted(fn, parts):
             forks.append(len(parts))
-            return run_parts(fn, parts, take)
+            return run_parts(fn, parts)
 
         monkeypatch.setattr(glsn.fork, "run_parts", counted)
         monkeypatch.setattr(glsn.fork, "worker_count", lambda: 2)

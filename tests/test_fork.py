@@ -1,4 +1,6 @@
 import os
+import signal
+import time
 
 import pytest
 
@@ -9,28 +11,22 @@ from glsn.model import DataError
 from conftest import assert_no_child_and_mask
 
 
-def _collect(fn, parts):
-    taken = []
-    run_parts(fn, parts, taken.append)
-    return taken
-
-
 class TestRunParts:
     @pytest.mark.parametrize("n_parts", [1, 2, 3, 5])
     def test_results_in_part_order_part_0_here(self, n_parts):
         mask = os.sched_getaffinity(0)
         me = os.getpid()
-        taken = _collect(lambda p: (p * p, os.getpid()), list(range(n_parts)))
-        assert [r for r, _ in taken] == [p * p for p in range(n_parts)]
-        assert taken[0][1] == me
-        assert all(pid != me for _, pid in taken[1:])
+        results = run_parts(lambda p: (p * p, os.getpid()), list(range(n_parts)))
+        assert [r for r, _ in results] == [p * p for p in range(n_parts)]
+        assert results[0][1] == me
+        assert all(pid != me for _, pid in results[1:])
         assert_no_child_and_mask(mask)
 
     def test_one_part_forks_and_pins_nothing(self, monkeypatch):
         calls = []
         monkeypatch.setattr(os, "fork", lambda: calls.append("fork"))
         monkeypatch.setattr(os, "sched_setaffinity", lambda *a: calls.append("pin"))
-        assert _collect(lambda p: p + 1, [41]) == [42]
+        assert run_parts(lambda p: p + 1, [41]) == [42]
         assert calls == []
 
     @pytest.mark.parametrize("failing", [0, 1, 2])
@@ -45,7 +41,7 @@ class TestRunParts:
             return p
 
         with pytest.raises(DataError, match=f"^planted in part {failing}$"):
-            _collect(fn, [0, 1, 2])
+            run_parts(fn, [0, 1, 2])
         assert_no_child_and_mask(mask)
 
     def test_other_child_error_is_runtime_error_with_traceback(self, capfd):
@@ -57,18 +53,31 @@ class TestRunParts:
             return p
 
         with pytest.raises(RuntimeError, match="worker 1 of 2 sent no result"):
-            _collect(fn, [0, 1])
+            run_parts(fn, [0, 1])
         assert "ZeroDivisionError: planted" in capfd.readouterr().err
         assert_no_child_and_mask(mask)
 
-    def test_failing_take_kills_and_reaps(self):
+    def test_failing_part_0_kills_and_reaps(self, monkeypatch):
+        # part 0 runs here after both children are forked; they are still
+        # asleep when it fails, so each must be killed, then reaped
         mask = os.sched_getaffinity(0)
+        statuses = []
+        waitpid = os.waitpid
 
-        def take(r):
-            raise KeyError(r)
+        def recorded(pid, options):
+            pid, status = waitpid(pid, options)
+            statuses.append(status)
+            return pid, status
 
+        def fn(p):
+            if p == 0:
+                raise KeyError(p)
+            time.sleep(60)
+
+        monkeypatch.setattr(os, "waitpid", recorded)
         with pytest.raises(KeyError):
-            run_parts(lambda p: p, [0, 1, 2], take)
+            run_parts(fn, [0, 1, 2])
+        assert [os.WIFSIGNALED(s) and os.WTERMSIG(s) for s in statuses] == [signal.SIGKILL] * 2
         assert_no_child_and_mask(mask)
 
     def test_pins_only_one_part_per_cpu(self, monkeypatch):
@@ -81,9 +90,9 @@ class TestRunParts:
             setaffinity(pid, cpus)
 
         monkeypatch.setattr(os, "sched_setaffinity", recorded)
-        _collect(lambda p: p, list(range(len(mask) + 1)))
+        run_parts(lambda p: p, list(range(len(mask) + 1)))
         assert calls == []
-        _collect(lambda p: p, list(range(len(mask))))
+        run_parts(lambda p: p, list(range(len(mask))))
         assert calls == ([{min(mask)}, mask] if len(mask) > 1 else [])
         assert_no_child_and_mask(mask)
 

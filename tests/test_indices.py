@@ -223,11 +223,10 @@ def _two_components_and_isolated(seed):
     return make_glsn(country_of, edges)
 
 
-def _in_process(fn, parts, take):
+def _in_process(fn, parts):
     """`fork.run_parts` with every worker's part run in this process, so
     that its batches are seen."""
-    for part in parts:
-        take(fn(part))
+    return [fn(part) for part in parts]
 
 
 @functools.cache
@@ -324,8 +323,9 @@ def _union(parts):
 
 
 class TestIntView:
-    """The integer view numbers ports and countries in sorted order and keys
-    path profiles on country bitmasks; the indices must not depend on it."""
+    """The kernel's integer arrays (`_Arrays`) number ports and countries in
+    sorted order; the indices must not depend on that numbering, however
+    many countries there are and in whatever order the graph lists them."""
 
     @staticmethod
     def assert_matches_oracles(g, parts):
@@ -356,7 +356,7 @@ class TestIntView:
             own = {f"C{k}": codes[i + 5 * (k % 14)] for k in range(16)}
             parts.append(_relabel(part, own, prefix=f"G{i}"))
         g = _union(parts)
-        assert len(g.int_view.countries) == 70
+        assert len(set(g.country_of.values())) == 70
         self.assert_matches_oracles(g, parts)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -373,6 +373,26 @@ class TestIntView:
         in_order = make_glsn(dict(sorted(g.country_of.items())), list(g.edges))
         rows = build_index_table(in_order, in_order).csv_rows()
         assert repr(build_index_table(g, g).csv_rows()) == repr(rows)
+
+    def test_arrays_list_the_graph_in_sorted_order(self):
+        # ports, countries and edges all inserted out of sorted order; k is isolated
+        g = Glsn(WeightScheme.UNWEIGHTED,
+                 country_of={"q": "ZZ", "b": "MM", "x": "AA", "k": "MM", "a": "ZZ", "m": "BB"},
+                 edges={("b", "q"): 1.0, ("a", "x"): 1.0, ("a", "b"): 1.0, ("m", "q"): 1.0,
+                        ("b", "x"): 1.0})
+        assert list(g.country_of) != g.nodes() and list(g.edges) != sorted(g.edges)
+        a = glsn.indices._Arrays.of(g)
+        assert a.ports == ["a", "b", "k", "m", "q", "x"]
+        nbrs = g.neighbors()
+        for i, p in enumerate(a.ports):
+            mine = a.indices[a.start[i]:a.start[i] + a.degree[i]].tolist()
+            assert mine == sorted(mine)
+            assert [a.ports[j] for j in mine] == nbrs[p]
+        assert a.countries == ["AA", "BB", "MM", "ZZ"]
+        assert [a.countries[c] for c in a.country.tolist()] == [g.country_of[p] for p in a.ports]
+        assert a.degree[a.ports.index("k")] == 0
+        assert a.start.dtype == glsn.indices._int(a.indices.size) == np.int32
+        assert a.degree.dtype == a.indices.dtype == a.country.dtype == np.int32
 
     @pytest.mark.parametrize("seed", range(10))
     def test_isolated_port_and_two_components(self, seed):
@@ -467,11 +487,22 @@ class TestEndpointCountryInvariant:
                 assert gb[c] == pytest.approx(slow[c], abs=1e-9)
 
 
-def _reference_bfs(view, s, depth_cap, fb):
+def _bit_view(g):
+    """g on ints for the reference: port i is ports[i] (sorted), adj[i] lists
+    its neighbours ascending, cbit[i] is its country's bit, and countries
+    maps 1 << j to the j-th country code in sorted order."""
+    ports, nbrs = g.nodes(), g.neighbors()
+    index = {p: i for i, p in enumerate(ports)}
+    countries = {1 << j: c for j, c in enumerate(sorted(set(g.country_of.values())))}
+    bit = {c: b for b, c in countries.items()}
+    adj = [[index[q] for q in nbrs[p]] for p in ports]
+    return ports, countries, adj, [bit[g.country_of[p]] for p in ports]
+
+
+def _reference_bfs(adj, cbit, s, depth_cap, fb):
     """The single-loop traversal the indices were first computed with: every
     profile is pushed along every shortest-path edge within depth_cap, and
     the backward sweep reads every adjacency entry again."""
-    adj, cbit = view.adj, view.cbit
     dist, sigma = [-1] * len(adj), [0] * len(adj)
     dist[s], sigma[s], order = 0, 1, [s]
     profiles = {s: {0: 1}}
@@ -526,10 +557,10 @@ def _reference_valid_paths(profile, forbidden):
 def _reference_betweenness(g, l_values):
     """(exact gb per cap, port betweenness) as first computed: one Fraction
     per (distance, country bit, n_st) bucket, every pair s < t from s."""
-    view, cbit = g.int_view, g.int_view.cbit
+    ports, countries, adj, cbit = _bit_view(g)
     buckets, deps = {}, []
     for s, cs in enumerate(cbit):
-        dist, profiles, dep = _reference_bfs(view, s, max(l_values), True)
+        dist, profiles, dep = _reference_bfs(adj, cbit, s, max(l_values), True)
         for t, profile in profiles.items():
             if t <= s or cbit[t] == cs:
                 continue
@@ -538,12 +569,12 @@ def _reference_betweenness(g, l_values):
                 key = (dist[t], bit, n_st)
                 buckets[key] = buckets.get(key, 0) + k
         deps.append(dep)
-    gb = {l_max: dict.fromkeys(view.countries.values(), Fraction(0)) for l_max in l_values}
+    gb = {l_max: dict.fromkeys(countries.values(), Fraction(0)) for l_max in l_values}
     for (d, bit, n_st), k in buckets.items():
         for l_max, totals in gb.items():
             if d <= l_max:
-                totals[view.countries[bit]] += Fraction(k, n_st)
-    return gb, {p: math.fsum(ts) / 2.0 for p, ts in zip(view.ports, zip(*deps))}
+                totals[countries[bit]] += Fraction(k, n_st)
+    return gb, {p: math.fsum(ts) / 2.0 for p, ts in zip(ports, zip(*deps))}
 
 
 def _route_graph(seed, n, k):
@@ -610,7 +641,7 @@ class TestAgainstReference:
         # country indices past 64; both graphs have valid pairs 7 hops apart,
         # with six intermediate ports
         g = _route_graph(seed, n, k)
-        assert len(g.int_view.countries) == k
+        assert len(set(g.country_of.values())) == k
         assert_matches_reference(g, (2, 7))
 
     def test_country_bit_merges_two_masks(self):
@@ -774,10 +805,10 @@ class TestForkedPass:
         forks = []
         run_parts = glsn.fork.run_parts
 
-        def counted(fn, parts, take):
+        def counted(fn, parts):
             if len(parts) > 1:  # one part runs in this process, with no fork
                 forks.append(len(parts))
-            return run_parts(fn, parts, take)
+            return run_parts(fn, parts)
 
         g = _golden_graph()
         monkeypatch.setattr(glsn.fork, "run_parts", counted)
@@ -793,7 +824,6 @@ def _traced_peak(run):
     """tracemalloc's peak while one process runs `run` over all 300 sources
     of the seed-55 fixture."""
     g = _seed55_graph()
-    g.int_view  # built once per graph, before the pass
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(glsn.fork, "worker_count", lambda: 1)
         tracemalloc.start()
@@ -807,10 +837,11 @@ def _traced_peak(run):
 class TestMemory:
     """One process takes all 300 sources, 46 a batch: the peak holds fb's
     dep rows (300 x 300 doubles, 0.72 MB) and the arrays of one batch. On
-    seeds 55-59 it measured 2.55-2.61 MB for the table and 1.54-1.61 MB for
-    gb alone; at 23 sources a batch, the kernel before the batch-wide gb
-    reduction measured 1.9-2.1 MB and 1.1-1.2 MB, and the one-source loop
-    before it 1.0 MB for the table."""
+    seeds 55-59 it measured 2.55-2.61 MB for the table and 1.54-1.62 MB for
+    gb alone, the graph's integer arrays built inside the traced pass; at
+    23 sources a batch, the kernel before the batch-wide gb reduction
+    measured 1.9-2.1 MB and 1.1-1.2 MB, and the one-source loop before it
+    1.0 MB for the table."""
 
     def test_traced_peak_of_one_worker(self):
         assert _traced_peak(lambda g: build_index_table(g, g)) < 4_000_000
