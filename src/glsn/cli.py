@@ -19,6 +19,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Sequence
 from functools import cached_property
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from .gravity import (
     fit_gravity,
     shared_pairs,
 )
-from .indices import L_VALUES, CountryIndexTable, build_index_table
+from .indices import INDEX_COLUMNS, L_VALUES, CountryIndexTable, build_index_table
 from .ingest import (
     parse_bilateral,
     parse_country_econ,
@@ -205,7 +206,7 @@ class Run:
             raise DataError(f"cannot create --out {out}: {exc.strerror}") from None
         return out
 
-    def write_csv(self, name: str, columns: list[str], rows) -> None:
+    def write_csv(self, name: str, columns: Sequence[str], rows) -> None:
         _write(self.out / name, self.header + dataset_io.csv_text(columns, rows))
 
 
@@ -220,12 +221,8 @@ def cmd_build(run: Run) -> None:
 
 
 def cmd_indices(run: Run) -> None:
-    columns = [
-        "country_code", "port_count", "gc", "gc_norm",
-        *[f"gb_l{l}" for l in L_VALUES], "fb", "fb_norm", "lsci",
-    ]
-    rows = [[row[c] for c in columns] for row in run.table.csv_rows()]
-    run.write_csv("indices.csv", columns, rows)
+    rows = [[row[c] for c in INDEX_COLUMNS] for row in run.table.csv_rows()]
+    run.write_csv("indices.csv", INDEX_COLUMNS, rows)
     print(f"indices for {len(rows)} countries -> {run.out / 'indices.csv'}")
 
 

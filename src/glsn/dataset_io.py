@@ -3,8 +3,19 @@
 from __future__ import annotations
 
 import io
+from collections.abc import Sequence
 
-from .model import ECON_COLUMNS, BilateralRecord, CountryEcon, Port, ServiceRoute
+from .model import (
+    BILATERAL_COLUMNS,
+    ECON_COLUMNS,
+    PORT_COLUMNS,
+    ROUTE_COLUMNS,
+    ROUTE_META_COLUMNS,
+    BilateralRecord,
+    CountryEcon,
+    Port,
+    ServiceRoute,
+)
 
 
 def fmt(v) -> str:
@@ -17,7 +28,7 @@ def fmt(v) -> str:
     return str(v)
 
 
-def csv_text(columns: list[str], rows) -> str:
+def csv_text(columns: Sequence[str], rows) -> str:
     buf = io.StringIO()
     buf.write(",".join(columns) + "\n")
     for row in rows:
@@ -30,7 +41,7 @@ def routes_csv(routes: list[ServiceRoute]) -> str:
     for r in sorted(routes, key=lambda r: r.route_id):
         for seq, pid in enumerate(r.port_calls, start=1):
             rows.append([r.route_id, seq, pid])
-    return csv_text(["route_id", "seq", "port_id"], rows)
+    return csv_text(ROUTE_COLUMNS, rows)
 
 
 def routes_meta_csv(routes: list[ServiceRoute]) -> str:
@@ -38,18 +49,18 @@ def routes_meta_csv(routes: list[ServiceRoute]) -> str:
         [r.route_id, r.capacity_teu]
         for r in sorted(routes, key=lambda r: r.route_id)
     ]
-    return csv_text(["route_id", "capacity_teu"], rows)
+    return csv_text(ROUTE_META_COLUMNS, rows)
 
 
 def ports_csv(ports: list[Port]) -> str:
-    rows = [[p.port_id, p.name, p.country_code] for p in sorted(ports, key=lambda p: p.port_id)]
-    return csv_text(["port_id", "name", "country_code"], rows)
+    rows = [[getattr(p, c) for c in PORT_COLUMNS] for p in sorted(ports, key=lambda p: p.port_id)]
+    return csv_text(PORT_COLUMNS, rows)
 
 
 def countries_csv(econ: list[CountryEcon]) -> str:
     rows = [[getattr(e, c) for c in ECON_COLUMNS]
             for e in sorted(econ, key=lambda e: e.country_code)]
-    return csv_text(list(ECON_COLUMNS), rows)
+    return csv_text(ECON_COLUMNS, rows)
 
 
 def bilateral_csv(bilateral: list[BilateralRecord]) -> str:
@@ -57,4 +68,4 @@ def bilateral_csv(bilateral: list[BilateralRecord]) -> str:
         [rec.pair[0], rec.pair[1], rec.btv_usd, rec.lsbci]
         for rec in sorted(bilateral, key=lambda r: r.pair)
     ]
-    return csv_text(["country_i", "country_j", "btv_usd", "lsbci"], rows)
+    return csv_text(BILATERAL_COLUMNS, rows)

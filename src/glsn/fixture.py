@@ -21,7 +21,7 @@ import numpy as np
 
 from .graph import WeightScheme, build_glsn
 from .gravity import country_adjacency, great_circle_km
-from .indices import country_connectivity, glsn_betweenness
+from .indices import country_connectivity, glsn_betweenness_exact
 from .model import BilateralRecord, CountryEcon, DataError, Port, ServiceRoute
 
 GRAVITY_TRUTH = (-30.0, 0.8, -1.1)  # (b0, b1, b2)
@@ -84,9 +84,9 @@ def generate(
 
     g = build_glsn(routes, ports, WeightScheme.UNWEIGHTED)
     gc, _ = country_connectivity(g)
-    gb = glsn_betweenness(g, 2)
+    gb = glsn_betweenness_exact(g, (2,))[2]
     z_gc = _zscore(np.array([gc[c] for c in codes]))
-    z_gb = _zscore(np.array([gb[c] for c in codes]))
+    z_gb = _zscore(np.array([float(gb[c]) for c in codes]))
 
     a_gc, a_gb = TRADE_TRUTH
     trade = 1e9 * (

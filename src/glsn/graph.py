@@ -72,9 +72,6 @@ class Glsn:
             adj[v].append(u)
         return {p: sorted(ns) for p, ns in adj.items()}
 
-    def weight(self, u: str, v: str) -> float:
-        return self.edges.get((min(u, v), max(u, v)), 0.0)
-
 
 def build_glsn(
     routes: list[ServiceRoute], ports: list[Port], scheme: WeightScheme
@@ -110,15 +107,16 @@ def build_glsn(
 
 
 def port_counts(country_of: dict[str, str]) -> dict[str, int]:
-    """Number of ports per country, countries in first-seen order."""
-    return dict(Counter(country_of.values()))
+    """Number of ports per country, sorted by code: the one country order
+    that the index layer and its exports read."""
+    return dict(sorted(Counter(country_of.values()).items()))
 
 
 def graph_stats(g: Glsn) -> dict:
     return {
         "node_count": g.node_count,
         "edge_count": g.edge_count,
-        "ports_per_country": dict(sorted(port_counts(g.country_of).items())),
+        "ports_per_country": port_counts(g.country_of),
     }
 
 

@@ -50,16 +50,19 @@ from .graph import Glsn, port_counts
 from .model import DataError
 
 L_VALUES = (2, 3, 4, 5)
+# the indices.csv columns, in order
+INDEX_COLUMNS = ("country_code", "port_count", "gc", "gc_norm", *(f"gb_l{l}" for l in L_VALUES),
+                 "fb", "fb_norm", "lsci")
 
 
 def _country_totals(country_of: dict[str, str], terms) -> tuple[dict[str, float], dict[str, float]]:
     """fsum of (country, value) terms per country, and that over the country's
-    port count. Every country in `country_of` appears."""
-    by_country: dict[str, list[float]] = {c: [] for c in set(country_of.values())}
+    port count. Every country in `country_of` appears, in `port_counts` order."""
+    counts = port_counts(country_of)
+    by_country: dict[str, list[float]] = {c: [] for c in counts}
     for c, x in terms:
         by_country[c].append(x)
     sums = {c: math.fsum(xs) for c, xs in by_country.items()}
-    counts = port_counts(country_of)
     return sums, {c: sums[c] / counts[c] for c in sums}
 
 
@@ -98,7 +101,7 @@ class _Arrays:
     def of(cls, g: Glsn) -> _Arrays:
         ports, nbrs = g.nodes(), g.neighbors()
         index = {p: i for i, p in enumerate(ports)}
-        countries = sorted(set(g.country_of.values()))
+        countries = list(port_counts(g.country_of))
         number = {c: j for j, c in enumerate(countries)}
         degree = np.array([len(nbrs[p]) for p in ports], np.int32)
         indices = np.fromiter((index[q] for p in ports for q in nbrs[p]), np.int32)
@@ -400,26 +403,12 @@ def _betweenness(
                 for i, p in enumerate(a.ports)}
 
 
-def _floats(gb: dict[int, dict[str, Fraction]]) -> dict[int, dict[str, float]]:
-    return {l: {c: float(v) for c, v in per_country.items()} for l, per_country in gb.items()}
-
-
 def glsn_betweenness_exact(
     g: Glsn, l_values: tuple[int, ...] = L_VALUES
 ) -> dict[int, dict[str, Fraction]]:
     """Country betweenness for every requested path-length cap in one pass."""
     _check_caps(l_values)
     return _betweenness(g, l_values, fb=False)[0]
-
-
-def glsn_betweenness_profile(
-    g: Glsn, l_values: tuple[int, ...] = L_VALUES
-) -> dict[int, dict[str, float]]:
-    return _floats(glsn_betweenness_exact(g, l_values))
-
-
-def glsn_betweenness(g: Glsn, l_max: int) -> dict[str, float]:
-    return glsn_betweenness_profile(g, (l_max,))[l_max]
 
 
 def port_betweenness(g: Glsn) -> dict[str, float]:
@@ -437,7 +426,9 @@ def country_freeman(
 
 @dataclass
 class CountryIndexTable:
-    """Per-country index rows, countries sorted by code in all exports."""
+    """Per-country index rows. Every per-country dict lists its countries in
+    the order of `port_count`, which `build_index_table` takes from
+    `port_counts`: sorted by code."""
 
     port_count: dict[str, int]
     gc: dict[str, float]
@@ -448,25 +439,19 @@ class CountryIndexTable:
     lsci: dict[str, float | None] = field(default_factory=dict)
 
     def countries(self) -> list[str]:
-        return sorted(self.port_count)
+        return list(self.port_count)
 
     def csv_rows(self) -> list[dict]:
-        rows = []
-        for c in self.countries():
-            row = {
-                "country_code": c,
-                "port_count": self.port_count[c],
-                "gc": self.gc[c],
-                "gc_norm": self.gc_norm[c],
-            }
-            for l in L_VALUES:
-                row[f"gb_l{l}"] = self.gb.get(l, {}).get(c, "")
-            row["fb"] = self.fb[c]
-            row["fb_norm"] = self.fb_norm[c]
-            lsci = self.lsci.get(c)
-            row["lsci"] = "" if lsci is None else lsci
-            rows.append(row)
-        return rows
+        """One dict per country, keyed by INDEX_COLUMNS; a cap not computed
+        and a missing lsci are blank."""
+        return [
+            dict(zip(INDEX_COLUMNS, (
+                c, self.port_count[c], self.gc[c], self.gc_norm[c],
+                *(self.gb.get(l, {}).get(c, "") for l in L_VALUES),
+                self.fb[c], self.fb_norm[c], "" if self.lsci.get(c) is None else self.lsci[c],
+            ), strict=True))
+            for c in self.countries()
+        ]
 
 
 def build_index_table(
@@ -487,7 +472,7 @@ def build_index_table(
         port_count=port_counts(g_structure.country_of),
         gc=gc,
         gc_norm=gc_norm,
-        gb=_floats(gb),
+        gb={l: {c: float(x) for c, x in per_country.items()} for l, per_country in gb.items()},
         fb=fb,
         fb_norm=fb_norm,
         lsci=lsci or {},

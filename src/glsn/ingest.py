@@ -9,7 +9,11 @@ from contextlib import contextmanager
 from typing import IO, Iterator
 
 from .model import (
+    BILATERAL_COLUMNS,
     ECON_COLUMNS,
+    PORT_COLUMNS,
+    ROUTE_COLUMNS,
+    ROUTE_META_COLUMNS,
     BilateralRecord,
     CountryEcon,
     DataError,
@@ -32,7 +36,7 @@ def _text(stream: IO) -> Iterator[IO]:
 
 
 @contextmanager
-def _reader(stream: IO, required: list[str], what: str) -> Iterator[csv.DictReader]:
+def _reader(stream: IO, required: tuple[str, ...], what: str) -> Iterator[csv.DictReader]:
     with _text(stream) as text:
         rd = csv.DictReader(text)
         if rd.fieldnames is None:
@@ -82,7 +86,7 @@ def parse_routes(stream: IO, meta_stream: IO | None = None) -> list[ServiceRoute
     """
     calls: dict[str, list[tuple[int, str]]] = {}
     lines: dict[tuple[str, int], int] = {}  # (route_id, seq) -> its line
-    with _reader(stream, ["route_id", "seq", "port_id"], "routes") as rd:
+    with _reader(stream, ROUTE_COLUMNS, "routes") as rd:
         for lineno, row in enumerate(rd, start=2):
             rid = (row["route_id"] or "").strip()
             pid = (row["port_id"] or "").strip()
@@ -100,10 +104,10 @@ def parse_routes(stream: IO, meta_stream: IO | None = None) -> list[ServiceRoute
 
     capacities: dict[str, float] = {}
     if meta_stream is not None:
-        with _reader(meta_stream, ["route_id", "capacity_teu"], "routes_meta") as mrd:
+        with _reader(meta_stream, ROUTE_META_COLUMNS, "routes_meta") as mrd:
             for lineno, row in enumerate(mrd, start=2):
                 where = f"routes_meta line {lineno}"
-                (rid,) = _required(row, ("route_id",), where)
+                (rid,) = _required(row, ROUTE_META_COLUMNS[:1], where)
                 if rid in capacities:
                     raise DataError(f"{where}: duplicate route_id {rid!r}")
                 cap = _opt_float(row["capacity_teu"], f"{where} capacity_teu")
@@ -167,11 +171,9 @@ def parse_routes_json(stream: IO) -> list[ServiceRoute]:
 def parse_ports(stream: IO) -> list[Port]:
     ports = []
     seen = set()
-    with _reader(stream, ["port_id", "name", "country_code"], "ports") as rd:
+    with _reader(stream, PORT_COLUMNS, "ports") as rd:
         for lineno, row in enumerate(rd, start=2):
-            pid, name, country = _required(
-                row, ("port_id", "name", "country_code"), f"ports line {lineno}"
-            )
+            pid, name, country = _required(row, PORT_COLUMNS, f"ports line {lineno}")
             if pid in seen:
                 raise DataError(f"ports line {lineno}: duplicate port_id {pid!r}")
             seen.add(pid)
@@ -182,10 +184,10 @@ def parse_ports(stream: IO) -> list[Port]:
 def parse_country_econ(stream: IO) -> list[CountryEcon]:
     out = []
     seen = set()
-    with _reader(stream, ["country_code"], "countries") as rd:
+    with _reader(stream, ECON_COLUMNS[:1], "countries") as rd:
         for lineno, row in enumerate(rd, start=2):
             where = f"countries line {lineno}"
-            (code,) = _required(row, ("country_code",), where)
+            (code,) = _required(row, ECON_COLUMNS[:1], where)
             if code in seen:
                 raise DataError(f"{where}: duplicate country_code {code!r}")
             seen.add(code)
@@ -197,10 +199,10 @@ def parse_country_econ(stream: IO) -> list[CountryEcon]:
 def parse_bilateral(stream: IO) -> list[BilateralRecord]:
     out = []
     seen_pairs = set()
-    with _reader(stream, ["country_i", "country_j", "btv_usd"], "bilateral") as rd:
+    with _reader(stream, BILATERAL_COLUMNS[:3], "bilateral") as rd:
         for lineno, row in enumerate(rd, start=2):
             where = f"bilateral line {lineno}"
-            ci, cj = _required(row, ("country_i", "country_j"), where)
+            ci, cj = _required(row, BILATERAL_COLUMNS[:2], where)
             btv = _opt_float(row["btv_usd"], f"{where} btv_usd")
             if btv is None:
                 raise DataError(f"{where}: btv_usd is required")

@@ -81,10 +81,6 @@ class CountryEcon:
             raise DataError(f"{owner}: longitude out of range")
 
 
-# the countries.csv columns, in order
-ECON_COLUMNS = tuple(f.name for f in fields(CountryEcon))
-
-
 @dataclass(frozen=True)
 class BilateralRecord:
     country_i: str
@@ -104,6 +100,15 @@ class BilateralRecord:
     @property
     def pair(self) -> tuple[str, str]:
         return (min(self.country_i, self.country_j), max(self.country_i, self.country_j))
+
+
+# the columns of each input CSV, in order; those of countries.csv after the code,
+# and lsbci, are optional
+ROUTE_COLUMNS = ("route_id", "seq", "port_id")
+ROUTE_META_COLUMNS = ("route_id", "capacity_teu")
+PORT_COLUMNS = tuple(f.name for f in fields(Port))
+ECON_COLUMNS = tuple(f.name for f in fields(CountryEcon))
+BILATERAL_COLUMNS = tuple(f.name for f in fields(BilateralRecord))
 
 
 @dataclass

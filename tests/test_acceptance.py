@@ -29,7 +29,6 @@ from glsn.gravity import GravityVariant, CountryPairSample, fit_gravity, great_c
 from glsn.indices import (
     build_index_table,
     glsn_betweenness_exact,
-    glsn_betweenness_profile,
     port_betweenness,
 )
 
@@ -53,7 +52,7 @@ def graph_suite():
 def test_criterion_gb_oracle_equivalence(graph_suite):
     start = time.monotonic()
     for i, g in enumerate(graph_suite):
-        fast = glsn_betweenness_profile(g, (2, 3, 4, 5))
+        fast = glsn_betweenness_exact(g, (2, 3, 4, 5))
         for l_max in (2, 3, 4, 5):
             slow = glsn_betweenness_oracle(g, l_max)
             for c in slow:
@@ -124,7 +123,7 @@ def test_criterion_sum_gb_invariant(graph_suite):
 
 def test_criterion_gb_monotonicity(graph_suite):
     for i, g in enumerate(graph_suite):
-        profile = glsn_betweenness_profile(g, (2, 3, 4, 5))
+        profile = glsn_betweenness_exact(g, (2, 3, 4, 5))
         for k in (2, 3, 4):
             for c in profile[k]:
                 assert profile[k + 1][c] >= profile[k][c] - 1e-12, (i, k, c)

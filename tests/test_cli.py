@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import glsn.fork
 from glsn.cli import CANDIDATES, main
-from glsn.indices import country_connectivity, glsn_betweenness
+from glsn.indices import country_connectivity, glsn_betweenness_exact
 
 from conftest import make_glsn
 
@@ -147,11 +147,11 @@ class TestIndices:
 
     def test_single_country_graph_has_zero_gb(self):
         g = make_glsn({"A": "XXX", "B": "XXX", "C": "XXX"}, [("A", "B"), ("B", "C")])
-        assert all(v == 0.0 for v in glsn_betweenness(g, 5).values())
+        assert all(v == 0.0 for v in glsn_betweenness_exact(g, (5,))[5].values())
 
     def test_two_countries_one_edge(self):
         g = make_glsn({"A": "XXX", "B": "YYY"}, [("A", "B")])
-        gb = glsn_betweenness(g, 5)
+        gb = glsn_betweenness_exact(g, (5,))[5]
         gc, _ = country_connectivity(g)
         assert gb == {"XXX": 0.0, "YYY": 0.0}
         assert gc["XXX"] > 0 and gc["YYY"] > 0

@@ -61,9 +61,9 @@ def test_unweighted_union_of_cliques():
 def test_weights_sum_across_routes():
     routes = [ServiceRoute("R1", ("A", "B", "C")), ServiceRoute("R2", ("A", "B"))]
     g = build_glsn(routes, PORTS, WeightScheme.ONE)
-    assert g.weight("A", "B") == 2.0
-    assert g.weight("A", "C") == 1.0
-    assert g.weight("B", "C") == 1.0
+    assert g.edges[("A", "B")] == 2.0
+    assert g.edges[("A", "C")] == 1.0
+    assert g.edges[("B", "C")] == 1.0
 
 
 @pytest.mark.parametrize("scheme", [s for s in WeightScheme

@@ -1,6 +1,8 @@
 import functools
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -18,9 +20,7 @@ from glsn.indices import (
     build_index_table,
     country_connectivity,
     country_freeman,
-    glsn_betweenness,
     glsn_betweenness_exact,
-    glsn_betweenness_profile,
     port_betweenness,
 )
 from glsn.ingest import parse_ports, parse_routes, validate_dataset
@@ -135,7 +135,7 @@ class TestValidShortestPathProfile:
 
 class TestGlsnBetweenness:
     def test_chain(self, chain_graph):
-        gb = glsn_betweenness(chain_graph, 2)
+        gb = glsn_betweenness_exact(chain_graph, (2,))[2]
         assert gb == {"X": 0.0, "Y": 0.0, "Z": 1.0}
 
     def test_tie_splits_credit(self):
@@ -143,7 +143,7 @@ class TestGlsnBetweenness:
             {"s": "X", "m1": "Z", "m2": "W", "t": "Y"},
             [("s", "m1"), ("m1", "t"), ("s", "m2"), ("m2", "t")],
         )
-        gb = glsn_betweenness(g, 2)
+        gb = glsn_betweenness_exact(g, (2,))[2]
         assert gb["Z"] == pytest.approx(0.5)
         assert gb["W"] == pytest.approx(0.5)
 
@@ -151,7 +151,7 @@ class TestGlsnBetweenness:
         for seed in range(20):
             g = random_glsn(seed)
             for l_max in (2, 3, 4, 5):
-                fast = glsn_betweenness(g, l_max)
+                fast = glsn_betweenness_exact(g, (l_max,))[l_max]
                 slow = glsn_betweenness_oracle(g, l_max)
                 for c in slow:
                     assert fast[c] == pytest.approx(slow[c], abs=1e-9), (seed, l_max, c)
@@ -159,7 +159,7 @@ class TestGlsnBetweenness:
     def test_monotone_in_lmax(self):
         for seed in range(20):
             g = random_glsn(seed)
-            profile = glsn_betweenness_profile(g, (2, 3, 4, 5))
+            profile = glsn_betweenness_exact(g, (2, 3, 4, 5))
             for k in (2, 3, 4):
                 for c in profile[k]:
                     assert profile[k + 1][c] >= profile[k][c] - 1e-12
@@ -171,7 +171,7 @@ class TestGlsnBetweenness:
         g2 = make_glsn(
             {"s": "X", "m": "Z", "t": "Y", "iso": "Z"}, [("s", "m"), ("m", "t")]
         )
-        assert glsn_betweenness(g, 2) == glsn_betweenness(g2, 2)
+        assert glsn_betweenness_exact(g, (2,))[2] == glsn_betweenness_exact(g2, (2,))[2]
 
     def test_relabeling_permutes_values(self):
         g = random_glsn(3)
@@ -180,7 +180,7 @@ class TestGlsnBetweenness:
             {mapping[p]: c for p, c in g.country_of.items()},
             [(mapping[u], mapping[v], w) for (u, v), w in g.edges.items()],
         )
-        assert glsn_betweenness(g, 3) == glsn_betweenness(g2, 3)
+        assert glsn_betweenness_exact(g, (3,))[3] == glsn_betweenness_exact(g2, (3,))[3]
 
 
 def _literal_gb(g, l_max):
@@ -251,7 +251,8 @@ class TestSharedPass:
     def test_table_equals_separate_indices(self, seed, caps):
         g = _two_components_and_isolated(seed)
         table = build_index_table(g, g, caps)
-        assert table.gb == glsn_betweenness_profile(g, caps)
+        exact = glsn_betweenness_exact(g, caps)
+        assert table.gb == {l: {c: float(x) for c, x in gb.items()} for l, gb in exact.items()}
         fb, fb_norm = country_freeman(port_betweenness(g), g.country_of)
         assert repr(table.fb) == repr(fb)
         assert repr(table.fb_norm) == repr(fb_norm)
@@ -478,7 +479,7 @@ class TestEndpointCountryInvariant:
             g = random_glsn(seed + 50)
             # remove one country entirely, recompute: its gb must only come
             # from pairs it mediates, never from pairs it terminates
-            gb = glsn_betweenness(g, 5)
+            gb = glsn_betweenness_exact(g, (5,))[5]
             for c, val in gb.items():
                 assert val >= 0
             # spot-check via the oracle's literal definition
@@ -849,3 +850,36 @@ class TestMemory:
     def test_traced_peak_of_gb_alone(self):
         # the path fixture.generate takes for every dataset, there at L = 2
         assert _traced_peak(glsn_betweenness_exact) < 4_000_000
+
+
+_TABLE_REPR = """
+from glsn.fixture import generate
+from glsn.graph import WeightScheme, build_glsn
+from glsn.indices import build_index_table
+
+ds = generate(11, n_ports=300, n_routes=100, n_countries=30)
+g = build_glsn(ds.routes, ds.ports, WeightScheme.UNWEIGHTED)
+table = build_index_table(g, g)
+per_country = [table.port_count, table.gc, table.gc_norm, *table.gb.values(), table.fb,
+               table.fb_norm]
+assert all(list(d) == table.countries() for d in per_country)
+assert table.countries() == sorted(table.countries())
+print(repr(table))
+"""
+
+
+class TestCountryOrder:
+    def test_table_is_the_same_under_any_hash_seed(self):
+        # every per-country dict lists its countries by code, never in the
+        # order of a set of strings, which follows PYTHONHASHSEED
+        src = str(Path(__file__).parent.parent / "src")
+
+        def table_repr(hash_seed):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            return subprocess.run([sys.executable, "-c", _TABLE_REPR], env=env,
+                                  capture_output=True, text=True, check=True).stdout
+
+        first = table_repr("1")
+        assert first.startswith("CountryIndexTable(")
+        assert table_repr("2") == first
