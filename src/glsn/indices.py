@@ -14,26 +14,38 @@ algebraic form of Brandes' algorithm (Brandes, Social Networks 2008; Buluc &
 Gilbert, IJHPCA 2011). A batch holds _BATCH_ELEMENTS // (ports + directed
 edges) sources, at least one; each numpy call costs about the same fixed
 time whatever its size, so the widest batches pay it the fewest times, and
-_BATCH_ELEMENTS is the widest power of two that keeps one process over a
-300-port graph under a 4 MB traced peak. For fb each level keeps the order
-of a one-source BFS, which is what makes fb's floats the same bits: the
+_BATCH_ELEMENTS keeps one process over a 300-port graph under a 4 MB traced
+peak. For fb each level keeps the order of a one-source BFS: the
 dependencies are summed level by level from the deepest, each port's terms
-in reversed BFS order. gb is integer counting only and needs no order:
-paths are grouped by the countries of their intermediate ports, and each
-target adds its integer delta[c] per country under (n_st, distance). Each
-worker folds its batches' counts into one sorted pair of arrays, keys and
-sums, so each cap is one exact fraction per country. fb runs the BFS over
-the whole component, while gb alone stops it at the largest cap.
-Shortest-path counts are float64 for fb, exact below 2**53; a count that
-reaches 2**53 raises DataError. gb's counts are int32 or int64 where they
-fit and Python ints where they may not.
+in reversed BFS order, so each source's dep row has the bits of a
+one-source loop. gb is integer counting only and needs no order: paths are
+grouped by the countries of their intermediate ports, and each target adds
+its integer delta[c] per country under (n_st, distance). gb's rows are built
+only toward the pairs it counts: the batch's BFS levels are kept, the
+states that lead to a counted target are marked backward through foreign
+ports, and the rows go forward along the marked edges only. Each worker
+folds its batches' counts into one sorted pair of arrays, keys and sums, so
+each cap is one exact fraction per country. fb runs the BFS over the whole
+component, while gb alone stops it at the largest cap. Shortest-path counts
+are float64 for fb, exact below 2**53; a count that reaches 2**53 raises
+DataError. gb's counts are int32 or int64 where they fit and Python ints
+where they may not.
+
+fb is summed exactly, on a fixed integer grid (Neal, "Fast exact summation
+using small and large superaccumulators", arXiv:1505.05571, 2015; Demmel &
+Nguyen, "Parallel reproducible summation", IEEE TC 64(7), 2015). With every
+shortest-path count below 2**53, each nonzero dep value lies in [2**-53, n)
+and so on the grid of 2**-105; each worker splits its batches' dep rows
+into 32-bit limbs on that grid, exactly, and keeps one int64 sum per limb
+and port, never a dep row per source.
 
 Each source's traversal is independent, so the sources are interleaved over
 forked worker processes, one per CPU, through `fork.run_parts` (Bader &
 Madduri, ICPP 2006). A worker sends back its gb keys and sums and, with fb,
-its dep rows. The blocks merge exactly: the gb counts are summed once as
-integers, and fb sums each port's nonzero terms once with fsum, so any
-worker count and any batch size give the same bits.
+its limb sums. The blocks merge exactly: the gb counts are summed once as
+integers, and fb's limbs are summed as integers and each port's exact sum
+rounded once, as math.fsum rounds, so any worker count and any batch size
+give the same bits.
 """
 
 from __future__ import annotations
@@ -41,7 +53,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -177,48 +188,49 @@ def _dense(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _gb_level(a: _Arrays, at_state: tuple, rows: tuple, masks: np.ndarray, ev: np.ndarray,
               ew: np.ndarray, d: int, depth_cap: int, counted: list) -> tuple:
-    """gb at BFS level d of a batch, from its DAG edges ev -> ew, sorted by ew.
+    """gb at BFS level d of a batch, from the DAG edges ev -> ew that lead
+    to a counted target (see `_gb`).
 
-    at_state holds per state its port's country index, whether that country
-    is not the source's, and whether the port is a target: such a port
-    numbered after the source. A row (state, mask id, count) counts the
-    shortest paths to a port whose intermediate ports lie in the countries
-    of the mask, none in the source's country; mask id i lists its distinct
-    country indices in masks[:, i], the unused slots -1. The rows of level
-    d - 1, sorted by state, are joined along the edges into ports outside
-    the source's country and summed per (state, mask id). A target t > s
-    takes the rows whose mask misses t's country: their counts sum to n_st,
-    and each country of a mask adds the row's count under (n_st, d); see
-    `_count`. Unless d is depth_cap, returns the rows and masks of level d,
-    each mask with its port's country added: the table keeps its ids and
-    takes one new id per (mask id, country) pair, so two ids may list one
-    set, which only leaves their rows unmerged.
+    at_state holds per state its port's country index and whether the port
+    is a target: in a country not the source's, numbered after the source.
+    A row (state, mask id, count) counts the shortest paths to a port whose
+    intermediate ports lie in the countries of the mask, none in the
+    source's country; mask id i lists its distinct country indices in
+    masks[:, i], the unused slots -1. The rows of level d - 1, sorted by
+    state, are joined along the edges and summed per (state, mask id). A
+    target t > s takes the rows whose mask misses t's country: their counts
+    sum to n_st, and each country of a mask adds the row's count under
+    (n_st, d); see `_count`. Unless d is depth_cap, returns the rows and
+    masks of level d, each mask with its port's country added: the table
+    keeps its ids and takes one new id per (mask id, country) pair, so two
+    ids may list one set, which only leaves their rows unmerged.
     """
-    country, foreign, target = at_state
-    width, last = len(a.countries), d == depth_cap
-    keep = (target if last else foreign)[ew]
-    state, mask, count = _join(rows, ev[keep], ew[keep], masks.shape[1], country.size)
+    country, target = at_state
+    width = len(a.countries)
+    state, mask, count = _join(rows, ev, ew, masks.shape[1], country.size)
     c = country[state]
-    through = (masks[:, mask] == c).any(axis=0)  # the mask has the port's own country
-    t = target[state] & ~through
-    if t.any():
+    # take, unlike masks[:, mask], gives a C-ordered array, which any() and
+    # the boolean index in `_count` scan several times faster
+    through = (masks.take(mask, axis=1) == c).any(axis=0)  # the mask has the port's own country
+    t = (target[state] & ~through).nonzero()[0]
+    if t.size:
         _count(state[t], mask[t], count[t], masks, d, width, depth_cap, counted)
-    if last:
+    if d == depth_cap:
         return rows, masks
     ids = masks.shape[1]
-    new = ~through
+    new = (~through).nonzero()[0]
     pairs, inv = _dense(_key(mask[new], width, c[new]))
     table = np.full((d, ids + pairs.size), -1, np.int32)
     table[:-1, :ids] = masks
-    table[:-1, ids:] = masks[:, pairs // width]
+    table[:-1, ids:] = masks.take(pairs // width, axis=1)
     table[-1, ids:] = pairs % width
     mask[new] = ids + inv
     return (state, mask, count), table
 
 
 def _join(rows: tuple, ev: np.ndarray, ew: np.ndarray, ids: int, states: int) -> tuple:
-    """The rows, sorted by state, joined along the edges ev -> ew, sorted by
-    ew, and summed per (state, mask id) of ew, sorted by both."""
+    """The rows, sorted by state, joined along the edges ev -> ew, in any
+    order, and summed per (state, mask id) of ew, sorted by both."""
     state, mask, count = rows
     per_state = np.bincount(state, minlength=states)
     k = per_state[ev]
@@ -237,7 +249,7 @@ def _count(state: np.ndarray, mask: np.ndarray, count: np.ndarray, masks: np.nda
     # count's type holds the total of its values (see `_sum_by`), so any n_st
     n_st = np.repeat(np.add.reduceat(count, heads, dtype=count.dtype),
                      _lengths(heads, state.size))
-    listed = masks[:, mask]
+    listed = masks.take(mask, axis=1)
     on = listed >= 0
     counted.append(_sum_by(_key(np.broadcast_to(n_st, on.shape)[on], (depth_cap + 1) * width,
                                 d * width + listed[on]), np.broadcast_to(count, on.shape)[on]))
@@ -253,7 +265,7 @@ def _new_edges(a: _Arrays, front: np.ndarray, unseen: np.ndarray) -> tuple:
     ew = np.repeat(front - ports, degree)
     ew += a.indices[_ranges(a.start[ports], degree)]
     new = unseen[ew].nonzero()[0]
-    ev, ew = front[np.searchsorted(np.cumsum(degree), new, "right")], ew[new]
+    ev, ew = np.repeat(front, degree)[new], ew[new]
     int_t = _int(unseen.size * ew.size)
     order = np.argsort(ew.astype(int_t) * ew.size + np.arange(ew.size, dtype=int_t))
     ev, ew = ev[order], ew[order]
@@ -261,12 +273,12 @@ def _new_edges(a: _Arrays, front: np.ndarray, unseen: np.ndarray) -> tuple:
     return ev, ew, heads, order[heads]
 
 
-def _fb_level(a: _Arrays, src: np.ndarray, sigma: np.ndarray, dag: list, ev: np.ndarray,
-              ew: np.ndarray, heads: np.ndarray, first: np.ndarray, level: np.ndarray) -> np.ndarray:
+def _fb_level(a: _Arrays, src: np.ndarray, sigma: np.ndarray, ev: np.ndarray, ew: np.ndarray,
+              heads: np.ndarray, first: np.ndarray, level: np.ndarray) -> tuple:
     """fb at one BFS level of a batch, from its edges ev -> ew as `_new_edges`
-    gives them and its new states, ascending: sets their sigma, appends the
-    level's edges to `dag` in reversed BFS order of ew, and returns the new
-    states in BFS order."""
+    gives them and its new states, ascending: sets their sigma, and returns
+    the new states in BFS order and the level's edges ev, ew in reversed BFS
+    order of ew."""
     sig = np.add.reduceat(sigma[ev], heads)
     if sig.max() >= _EXACT:
         b, w = divmod(int(level[np.argmax(sig)]), len(a.ports))
@@ -275,88 +287,164 @@ def _fb_level(a: _Arrays, src: np.ndarray, sigma: np.ndarray, dag: list, ev: np.
     sigma[level] = sig
     bfs = np.argsort(first)
     e = _ranges(heads[bfs], _lengths(heads, ew.size)[bfs])[::-1]
-    dag.append((ev[e], ew[e]))
-    return level[bfs]
+    return level[bfs], ev[e], ew[e]
+
+
+def _gb(a: _Arrays, src: np.ndarray, levels: list, depth_cap: int, counted: list) -> None:
+    """gb's counts for one batch into `counted` (see `_gb_level`), from its
+    DAG edges ev -> ew at each level up to depth_cap.
+
+    Port v seen from src[b] is state b * n + v. A state is needed when it is
+    a target, or a foreign port (in a country not the source's) with an edge
+    into a needed state: marked backward from the deepest level, these are
+    the states through which a row reaches a counted pair within the cap.
+    The rows are then built forward from the sources along the edges out of
+    states that hold rows into needed states only; a dropped row would reach
+    no counted target, so no count changes.
+    """
+    if not levels:  # fb alone, or no edge out of the sources
+        return
+    n = len(a.ports)
+    start = np.arange(src.size, dtype=np.int32) * n + src
+    country = np.tile(a.country, src.size)
+    foreign = country != np.repeat(a.country[src], n)
+    target = foreign & (np.tile(np.arange(n, dtype=np.int32), src.size) > np.repeat(src, n))
+    need = target.copy()
+    for ev, ew in reversed(levels[1:]):
+        need[ev[(need[ew] & foreign[ev]).nonzero()[0]]] = True
+    reached = np.zeros(need.size, bool)  # the states that hold rows
+    reached[start] = True
+    rows = (start, np.zeros(src.size, np.int32), np.ones(src.size, np.int32))
+    masks = np.full((0, 1), -1, np.int32)
+    for d, (ev, ew) in enumerate(levels, 1):
+        # indexing by nonzero()'s positions, not by a boolean mask, which
+        # numpy took several times longer to apply
+        keep = (reached[ev] & need[ew]).nonzero()[0]
+        if not keep.size:  # no row at level d, so none deeper
+            break
+        ev, ew = ev[keep], ew[keep]
+        reached[ew] = True
+        rows, masks = _gb_level(a, (country, target), rows, masks, ev, ew, d, depth_cap, counted)
 
 
 def _batch(
-    a: _Arrays, src: np.ndarray, depth_cap: int, counted: list, dep: np.ndarray | None
-) -> None:
-    """gb's counts into `counted` (see `_gb_level`) and, for fb, the dep rows
-    into `dep`, (len(src), n), for one batch of sources traversed together.
+    a: _Arrays, src: np.ndarray, depth_cap: int, counted: list, fb: bool
+) -> np.ndarray | None:
+    """gb's counts into `counted` (see `_gb`) and, for fb, the dep rows,
+    (len(src), n), for one batch of sources traversed together.
 
-    Port v seen from src[b] is state b * n + v. For fb, each level is found
-    from the one before in BFS order: the edges out of it in the order of
-    their ports, each port's neighbours ascending, and a new port takes its
-    first edge's place; gb's integer sums need no order, so gb alone takes
-    each level in state order. The BFS runs over the whole component for fb,
-    else to depth_cap. sigma counts shortest paths as float64, exact below
-    2**53: a count of 2**53 or more raises DataError. fb's dep sums the
-    Brandes terms sigma[v] / sigma[w] * (1 + dep[w]) level by level from the
-    deepest, each level's edges in reversed BFS order of w, with np.add.at,
-    which adds in array order: each dep[v] gets its terms in the order of a
-    one-source traversal, so the same bits. The sources and unreached ports
-    keep 0.0.
+    Port v seen from src[b] is state b * n + v. The BFS runs level by level
+    over the whole component for fb, else to depth_cap, and keeps each
+    level's edges; gb then counts along them (see `_gb`). For fb, each level
+    is found from the one before in BFS order: the edges out of it in the
+    order of their ports, each port's neighbours ascending, and a new port
+    takes its first edge's place; gb's integer sums need no order, so gb
+    alone takes each level in state order. sigma counts shortest paths as
+    float64, exact below 2**53: a count of 2**53 or more raises DataError.
+    fb's dep sums the Brandes terms sigma[v] / sigma[w] * (1 + dep[w]) level
+    by level from the deepest, each level's edges in reversed BFS order of
+    w, with np.add.at, which adds in array order: each dep[v] gets its terms
+    in the order of a one-source traversal, so the same bits. The sources
+    and unreached ports keep 0.0.
     """
-    fb = dep is not None
     n = len(a.ports)
     front = np.arange(src.size, dtype=np.int32) * n + src
     unseen = np.ones(src.size * n, bool)
     unseen[front] = False
-    country = np.tile(a.country, src.size)
-    foreign = country != np.repeat(a.country[src], n)
-    at_state = (country, foreign,
-                foreign & (np.tile(np.arange(n, dtype=np.int32), src.size) > np.repeat(src, n)))
-    rows = (front, np.zeros(src.size, np.int32), np.ones(src.size, np.int32))
-    masks = np.full((0, 1), -1, np.int32)
     if fb:
         sigma = np.zeros(src.size * n)
         sigma[front] = 1.0
-        dag = []
-    d = 0
-    while front.size and (fb or d < depth_cap):
+    levels = []  # each level's (ev, ew); with fb, in reversed BFS order of ew
+    while front.size and (fb or len(levels) < depth_cap):
         ev, ew, heads, first = _new_edges(a, front, unseen)
         if not ew.size:
             break
         front = ew[heads]
         unseen[front] = False
         if fb:
-            front = _fb_level(a, src, sigma, dag, ev, ew, heads, first, front)
-        d += 1
-        if d <= depth_cap:
-            rows, masks = _gb_level(a, at_state, rows, masks, ev, ew, d, depth_cap, counted)
-        del ev, ew, heads, first  # free before the next level's are built: a lower peak
-    if fb:
-        flat = dep.reshape(-1)
-        for ev, ew in reversed(dag):
-            np.add.at(flat, ev, sigma[ev] / sigma[ew] * (1.0 + flat[ew]))
-        dep[np.arange(src.size), src] = 0.0
+            front, ev, ew = _fb_level(a, src, sigma, ev, ew, heads, first, front)
+        levels.append((ev, ew))
+        del heads, first  # free before the next level's are built: a lower peak
+    del unseen
+    _gb(a, src, levels[:depth_cap], depth_cap, counted)
+    if not fb:
+        return None
+    dep = np.zeros(src.size * n)
+    for ev, ew in reversed(levels):
+        np.add.at(dep, ev, sigma[ev] / sigma[ew] * (1.0 + dep[ew]))
+    dep = dep.reshape(src.size, n)
+    dep[np.arange(src.size), src] = 0.0
+    return dep
+
+
+# fb is summed exactly on the grid of the multiples of 2**_GRID, in _LIMBS
+# limbs of 32 bits: every double at or above 2**-53 lies on the grid, and
+# the limbs hold every double below 2**(_GRID + 32 * _LIMBS) = 2**87
+_GRID = -105
+_LIMBS = 6
+
+
+def _limb_sums(terms: np.ndarray) -> np.ndarray:
+    """The column sums of `terms`, (rows, n) doubles, exactly: (_LIMBS, n)
+    int64, where limb k sums bits 32k .. 32k + 31 of each term over
+    2**_GRID. Each term is split by exact steps (ldexp, floor, subtract); a
+    term that is negative, off the grid or at or above 2**87 raises
+    ValueError, never rounds. Each limb sum is below rows * 2**32, so int64
+    holds it for fewer than 2**31 rows."""
+    y = np.ldexp(terms, -_GRID)
+    low, top = float(y.min(initial=0.0)), float(y.max(initial=0.0))
+    if not (low >= 0.0 and top < 2.0 ** (32 * _LIMBS)):  # so is NaN
+        raise ValueError(f"a term outside [0, 2**{_GRID + 32 * _LIMBS})")
+    out = np.zeros((_LIMBS, y.shape[1]), np.int64)
+    for k in reversed(range(_LIMBS)):
+        if top >= 2.0 ** (32 * k):  # else every term's limb k is 0
+            limb = np.floor(np.ldexp(y, -32 * k))
+            y -= np.ldexp(limb, 32 * k)
+            out[k] = limb.astype(np.int64).sum(axis=0)
+    if y.any():
+        raise ValueError(f"a term off the grid of 2**{_GRID}")
+    return out
+
+
+def _round_limbs(limbs: np.ndarray) -> list[float]:
+    """Each column's exact sum from its limb sums (see `_limb_sums`), built
+    as a Python int by shifts and rounded once to the nearest double, ties
+    to even, as math.fsum rounds."""
+    exact = [0] * limbs.shape[1]
+    for row in limbs[::-1].tolist():
+        exact = [(x << 32) + y for x, y in zip(exact, row)]
+    return [math.ldexp(float(x), _GRID) for x in exact]
 
 
 def _block(
     a: _Arrays, sources: range, depth_cap: int, fb: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """gb's counts and, with fb, the dep rows for the pairs counted from
-    `sources`.
+    """gb's counts and, with fb, the limb sums of the dep rows for the pairs
+    counted from `sources`.
 
     A pair's shortest paths share one length d, so each pair s < t, counted
     from s, adds its integer delta[c] for each country index c under the
     key (n_st * (depth_cap + 1) + d) * width + c. The sources are traversed
     in batches of _BATCH_ELEMENTS // (ports + directed edges), at least one,
     and each batch's counts are summed into the block's as it ends: the
-    distinct keys, ascending, and the count under each. The dep rows hold a
-    double per port for each source, in the order of `sources`.
+    distinct keys, ascending, and the count under each. Each batch's dep
+    rows are split into limbs and added into one (_LIMBS, n) int64
+    accumulator (see `_limb_sums`), so a worker holds the dep rows of one
+    batch at a time.
     """
     size = max(1, _BATCH_ELEMENTS // max(1, len(a.ports) + len(a.indices)))
     src = np.arange(sources.start, sources.stop, sources.step, dtype=np.int32)
     keys, sums = np.zeros(0, np.int64), np.zeros(0, np.int64)
-    deps = np.zeros((src.size, len(a.ports))) if fb else None
+    limbs = np.zeros((_LIMBS, len(a.ports)), np.int64) if fb else None
     for i in range(0, src.size, size):
         counted = [(keys, sums)]
-        _batch(a, src[i:i + size], depth_cap, counted, None if deps is None else deps[i:i + size])
+        dep = _batch(a, src[i:i + size], depth_cap, counted, fb)
         keys, sums = _sum_by(np.concatenate([k for k, _ in counted]),
                              np.concatenate([x for _, x in counted]))
-    return keys, sums, deps
+        if fb:
+            limbs += _limb_sums(dep)
+        del dep  # free before the next batch's are built: a lower peak
+    return keys, sums, limbs
 
 
 def _betweenness(
@@ -368,7 +456,8 @@ def _betweenness(
     one and at most one per port, worker i taking sources i, i + workers, ...;
     the blocks' counts are summed once, when all have arrived. A cap's total
     sums delta/n_st exactly over the keys within it, as integers over the
-    lcm of all n_st: one Fraction per country and cap.
+    lcm of all n_st: one Fraction per country and cap. fb adds the blocks'
+    limb sums as integers and rounds each port's exact sum once.
     """
     a = _Arrays.of(g)
     n = len(a.ports)
@@ -395,12 +484,10 @@ def _betweenness(
           for l_max in l_values}
     if not fb:
         return gb, None
-    # each unordered pair is seen from both endpoints; fsum rounds once, so
-    # neither the order of a port's terms nor its 0.0 terms change the sum
-    columns = [part[2].T for part in parts]  # columns[j][i]: port i's terms from part j
-    return gb, {p: math.fsum(chain.from_iterable(
-                    x[x != 0.0].tolist() for x in (c[i] for c in columns))) / 2.0
-                for i, p in enumerate(a.ports)}
+    # each unordered pair is seen from both endpoints; the exact sum is
+    # rounded once, as fsum rounds, so no worker count or order moves a bit
+    limbs = np.add.reduce([part[2] for part in parts])
+    return gb, {p: x / 2.0 for p, x in zip(a.ports, _round_limbs(limbs))}
 
 
 def glsn_betweenness_exact(

@@ -36,7 +36,11 @@ def _text(stream: IO) -> Iterator[IO]:
 
 
 @contextmanager
-def _reader(stream: IO, required: tuple[str, ...], what: str) -> Iterator[csv.DictReader]:
+def _reader(stream: IO, required: tuple[str, ...], what: str,
+            known: tuple[str, ...] | None = None) -> Iterator[csv.DictReader]:
+    """The rows of a CSV stream whose header has every `required` column and,
+    when `known` is given, no column outside it: a file whose other columns
+    are optional would read a misspelled one as missing data."""
     with _text(stream) as text:
         rd = csv.DictReader(text)
         if rd.fieldnames is None:
@@ -44,6 +48,9 @@ def _reader(stream: IO, required: tuple[str, ...], what: str) -> Iterator[csv.Di
         missing = [c for c in required if c not in rd.fieldnames]
         if missing:
             raise DataError(f"{what}: missing columns {missing}")
+        unknown = [] if known is None else [c for c in rd.fieldnames if c not in known]
+        if unknown:
+            raise DataError(f"{what}: unknown columns {unknown}, expected some of {list(known)}")
         yield rd
 
 
@@ -184,7 +191,7 @@ def parse_ports(stream: IO) -> list[Port]:
 def parse_country_econ(stream: IO) -> list[CountryEcon]:
     out = []
     seen = set()
-    with _reader(stream, ECON_COLUMNS[:1], "countries") as rd:
+    with _reader(stream, ECON_COLUMNS[:1], "countries", ECON_COLUMNS) as rd:
         for lineno, row in enumerate(rd, start=2):
             where = f"countries line {lineno}"
             (code,) = _required(row, ECON_COLUMNS[:1], where)
@@ -199,7 +206,7 @@ def parse_country_econ(stream: IO) -> list[CountryEcon]:
 def parse_bilateral(stream: IO) -> list[BilateralRecord]:
     out = []
     seen_pairs = set()
-    with _reader(stream, BILATERAL_COLUMNS[:3], "bilateral") as rd:
+    with _reader(stream, BILATERAL_COLUMNS[:3], "bilateral", BILATERAL_COLUMNS) as rd:
         for lineno, row in enumerate(rd, start=2):
             where = f"bilateral line {lineno}"
             ci, cj = _required(row, BILATERAL_COLUMNS[:2], where)

@@ -433,6 +433,18 @@ class TestRunChecks:
         assert capsys.readouterr().err.splitlines()[-1] == f"error: {empty}: no data rows"
         assert not out.exists()
 
+    def test_misspelled_column_exits_1_naming_it(self, tmp_path, capsys):
+        countries = tmp_path / "countries.csv"
+        countries.write_text((FIXTURE / "countries.csv").read_text().replace("gdp_usd", "gdp", 1))
+        args = [str(a).replace(str(FIXTURE / "countries.csv"), str(countries))
+                for a in REPORT_ARGS]
+        out = tmp_path / "out"
+        assert run(["regress", *args, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("error: countries: unknown columns ['gdp']")
+        assert not out.exists()
+
     def test_out_naming_a_file_exits_1(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.write_text("keep\n")

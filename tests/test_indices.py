@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import glsn.fork
 import glsn.indices
@@ -715,6 +716,133 @@ class TestPathCountLimit:
         assert keys.tolist() == [1, 3] and sums.tolist() == [7, 2**63]
 
 
+_terms = st.floats(min_value=2**-53, max_value=2**62, exclude_max=True)
+
+
+class TestExactSums:
+    """fb sums each port's dep terms as 32-bit limbs on the grid of 2**-105
+    and rounds once: the bits of math.fsum, which rounds the exact sum."""
+
+    @staticmethod
+    def summed(columns):
+        """The columns as one array, the shorter padded with 0.0, summed."""
+        terms = np.zeros((max(map(len, columns)), len(columns)))
+        for j, column in enumerate(columns):
+            terms[:len(column), j] = column
+        return glsn.indices._round_limbs(glsn.indices._limb_sums(terms))
+
+    def assert_fsum(self, *columns):
+        assert [x.hex() for x in self.summed(columns)] == [math.fsum(c).hex() for c in columns]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda rows: st.lists(
+        st.lists(_terms | st.just(0.0), min_size=rows, max_size=rows), min_size=1, max_size=4)))
+    def test_same_bits_as_fsum(self, columns):
+        self.assert_fsum(*columns)
+
+    def test_half_way_ties_round_to_even(self):
+        self.assert_fsum([1.0, 2**-53], [1.0 + 2**-52, 2**-53], [2**-53, 1.0, 2**-53])
+        assert self.summed([[1.0, 2**-53], [1.0 + 2**-52, 2**-53]]) == [1.0, 1.0 + 2**-51]
+
+    def test_many_equal_terms(self):
+        self.assert_fsum([0.1] * 10_000, [2**-53] * 4097, [299.0 / 3.0] * 1000)
+
+    def test_both_ends_of_the_grid(self):
+        top = math.ldexp(1.0 - 2**-53, 87)  # the largest double below 2**87
+        self.assert_fsum([2**-105], [2**-105] * 3, [top, 2**-105], [top, top, 1.0])
+        assert self.summed([[top, top]]) == [2 * top]
+
+    def test_no_terms(self):
+        assert self.summed([[], []]) == [0.0, 0.0]
+        assert self.summed([[0.0, 0.0]]) == [0.0]
+
+    @pytest.mark.parametrize("term", [2**-106, 3 * 2**-106, 2.0**87, 2.0**100, -1.0,
+                                      math.inf, math.nan])
+    def test_a_term_off_the_grid_raises(self, term):
+        with pytest.raises(ValueError):
+            glsn.indices._limb_sums(np.array([[1.0], [term]]))
+
+
+def _path_graph():
+    """p0 - p1 - ... - p5, in countries A, B, C, A, B, C."""
+    return make_glsn({f"p{i}": "ABC"[i % 3] for i in range(6)},
+                     [(f"p{i}", f"p{i + 1}") for i in range(5)])
+
+
+def _needed_edges(g, cap):
+    """Per source s, how many shortest-path DAG edges v -> w within the cap
+    carry rows toward a counted target: w is needed, a target t > s in a
+    country not s's or a port in a country not s's with an edge into a
+    needed port, and v is s or a needed port reached along such edges."""
+    nbrs, cof = g.neighbors(), g.country_of
+    out = {}
+    for s in sorted(cof):
+        dist, levels = {s: 0}, [[s]]
+        while levels[-1] and len(levels) <= cap:
+            levels.append([])
+            for v in levels[-2]:
+                for w in nbrs[v]:
+                    if w not in dist:
+                        dist[w] = len(levels) - 1
+                        levels[-1].append(w)
+        edges = [(v, w) for v in dist for w in nbrs[v] if dist.get(w) == dist[v] + 1 <= cap]
+        need = {w for w in dist if w > s and cof[w] != cof[s]}
+        for v, w in sorted(edges, key=lambda e: -dist[e[0]]):
+            if w in need and cof[v] != cof[s]:
+                need.add(v)
+        rows = {s}
+        for v, w in sorted(edges, key=lambda e: dist[e[0]]):
+            if v in rows and w in need:
+                rows.add(w)
+        out[s] = sum(v in rows and w in need for v, w in edges)
+    return out
+
+
+class TestGbPruning:
+    """gb joins its rows only along the DAG edges that lead to a pair it
+    counts; every other row would reach no counted target."""
+
+    @staticmethod
+    def joined(monkeypatch, g, per_batch=None):
+        """gb alone at the default caps in one process: the edges each
+        batch passes to `_gb_level`, by the batch's sources."""
+        joined = {}
+        batch, gb_level = glsn.indices._batch, glsn.indices._gb_level
+
+        def at_batch(a, src, *args):
+            joined[tuple(a.ports[s] for s in src.tolist())] = 0
+            return batch(a, src, *args)
+
+        def at_level(a, at_state, rows, masks, ev, ew, *args):
+            joined[next(reversed(joined))] += ev.size
+            return gb_level(a, at_state, rows, masks, ev, ew, *args)
+
+        if per_batch is not None:
+            monkeypatch.setattr(glsn.indices, "_BATCH_ELEMENTS", per_batch)
+        monkeypatch.setattr(glsn.fork, "worker_count", lambda: 1)
+        monkeypatch.setattr(glsn.indices, "_batch", at_batch)
+        monkeypatch.setattr(glsn.indices, "_gb_level", at_level)
+        assert glsn_betweenness_exact(g) == _reference_betweenness(g, L_VALUES)[0]
+        return joined
+
+    def test_path_graph(self, monkeypatch):
+        # from p0 only p1 and p2 are reached through foreign ports; p3 is in
+        # A, so no row passes it. The last source counts no pair at all
+        joined = self.joined(monkeypatch, _path_graph(), per_batch=1)
+        assert joined == {("p0",): 2, ("p1",): 2, ("p2",): 2, ("p3",): 2, ("p4",): 1, ("p5",): 0}
+        assert _needed_edges(_path_graph(), max(L_VALUES)) == {
+            "p0": 2, "p1": 2, "p2": 2, "p3": 2, "p4": 1, "p5": 0}
+
+    def test_seed55_joins_only_the_needed_edges(self, monkeypatch):
+        g = _seed55_graph()
+        joined = self.joined(monkeypatch, g)
+        assert len(joined) == 7  # batches of 46 sources
+        needed = _needed_edges(g, max(L_VALUES))
+        assert sum(joined.values()) == sum(needed.values())
+        for sources, edges in joined.items():
+            assert edges == sum(needed[s] for s in sources)
+
+
 def _golden_graph():
     """The structure graph that `report` builds from the golden fixture."""
     fixture = Path(__file__).parent / "data" / "fixture"
@@ -821,10 +949,8 @@ class TestForkedPass:
         assert forks == ([cpus, 3] if cpus > 1 else [3])
 
 
-def _traced_peak(run):
-    """tracemalloc's peak while one process runs `run` over all 300 sources
-    of the seed-55 fixture."""
-    g = _seed55_graph()
+def _traced_peak(run, g):
+    """tracemalloc's peak while one process runs `run` over all sources of g."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(glsn.fork, "worker_count", lambda: 1)
         tracemalloc.start()
@@ -836,20 +962,26 @@ def _traced_peak(run):
 
 
 class TestMemory:
-    """One process takes all 300 sources, 46 a batch: the peak holds fb's
-    dep rows (300 x 300 doubles, 0.72 MB) and the arrays of one batch. On
-    seeds 55-59 it measured 2.55-2.61 MB for the table and 1.54-1.62 MB for
-    gb alone, the graph's integer arrays built inside the traced pass; at
-    23 sources a batch, the kernel before the batch-wide gb reduction
-    measured 1.9-2.1 MB and 1.1-1.2 MB, and the one-source loop before it
-    1.0 MB for the table."""
+    """One process takes all sources, 46 a batch at 300 ports, and holds the
+    arrays of one batch: fb's dep rows are folded into a (6, ports) int64
+    limb sum after each batch. On the 300-port fixtures of seeds 55-59 it
+    measured 1.83-1.96 MB for the table and 1.68-1.83 MB for gb alone, the
+    graph's integer arrays built inside the traced pass; the kernel that
+    kept every dep row (a double per source and port) measured 2.55-2.61 MB
+    and 1.54-1.62 MB. At 1,000 ports the table measured 2.55 MB, against
+    10.43 MB with every dep row kept."""
 
     def test_traced_peak_of_one_worker(self):
-        assert _traced_peak(lambda g: build_index_table(g, g)) < 4_000_000
+        assert _traced_peak(lambda g: build_index_table(g, g), _seed55_graph()) < 4_000_000
 
     def test_traced_peak_of_gb_alone(self):
         # the path fixture.generate takes for every dataset, there at L = 2
-        assert _traced_peak(glsn_betweenness_exact) < 4_000_000
+        assert _traced_peak(glsn_betweenness_exact, _seed55_graph()) < 4_000_000
+
+    def test_traced_peak_of_one_worker_at_1000_ports(self):
+        # the dep rows of all 1,000 sources alone would take 8 MB
+        g = _fixture_graph(11, 1000, 300, 60)
+        assert _traced_peak(lambda g: build_index_table(g, g), g) < 4_000_000
 
 
 _TABLE_REPR = """

@@ -298,6 +298,20 @@ def test_validate_strict_raises():
         validate_dataset(routes, _ports(), strict=True)
 
 
+@pytest.mark.parametrize("parse, text, needle", [
+    (parse_country_econ, "country_code,gdp,trade_value_usd\nAAA,5,6\n",
+     "countries: unknown columns ['gdp']"),
+    (parse_country_econ, "country_code,lsci,\nAAA,5,\n", "countries: unknown columns ['']"),
+    (parse_bilateral, "country_i,country_j,btv_usd,lsbic\nAAA,AAB,5,1\n",
+     "bilateral: unknown columns ['lsbic']"),
+])
+def test_unknown_column_raises_naming_it(parse, text, needle):
+    # the optional columns may be left out, but a misspelled one is not read
+    # as a column of missing data
+    with pytest.raises(DataError, match=re.escape(needle)):
+        parse(s(text))
+
+
 def test_roundtrip_routes():
     routes = parse_routes(s(ROUTES), s(META))
     again = parse_routes(
