@@ -46,12 +46,13 @@ np.add.accumulate along the columns, which adds them one after another in
 the order a single fit takes, and each dot product is one fsum of its own
 row. `ols_fit` fits its chain as a batch of one.
 
-From _FORK_MIN_SUBSETS subsets on, the walk's depth-first order is cut into
-equal contiguous ranges, one per forked worker of `fork.run_parts`, as the
-gb/fb pass splits its sources. A worker extends only the nodes of its range
-and their ancestors, so each subset is still reached by the same chain of
-column steps. Each worker returns its fits and the table is sorted into
-canonical order, so any worker count gives the same table, bit for bit.
+The walk's depth-first order is cut into equal contiguous ranges, one per
+worker of `fork.workers`: one per CPU, but no more than the whole batches
+its fits' stacked columns fill, so a walk of under two batches stays in one
+process. A worker extends only the nodes of its range and their ancestors,
+so each subset is still reached by the same chain of column steps. Each
+worker returns its fits and the table is sorted into canonical order, so
+any worker count gives the same table, bit for bit.
 
 The t critical value and the p-values come from Student's t for integer
 degrees of freedom, computed in `decimal` at 40 digits with only + - * / and
@@ -90,12 +91,6 @@ MAX_CANDIDATES = 20
 # the tie-break (fewer variables, then names) applies; the standard reading of
 # AIC differences under 2 as "no meaningful support for the larger model"
 AIC_TIE_BAND = 2.0
-# Selection splits its walk over forked workers only from this many subsets
-# (7 candidates with every size fitted, the CLI's full list). Medians by hand
-# on a 2-vCPU x86-64 VM, 30 rows, a 42 MB parent: in process against two
-# workers, 2.6 against 6.3 ms for 15 subsets, 11.0 against 11.6 ms for 63,
-# 23.4 against 18.4 ms for 127 and 49.3 against 39.4 ms for 255.
-_FORK_MIN_SUBSETS = 127
 # Selection fits the subsets of one size in batches of about this many
 # elements of their stacked (subsets, size, observations) columns; a waiting
 # node keeps no pending first pass. At k = 12 and 150 rows, in one process,
@@ -715,7 +710,10 @@ def select_model(
         root = walk.root(sorted(range(k), key=design.variables.__getitem__))
         max_size = min(k, first_unfit - 1)
         fits = _subtree_size(k, max_size) - 1  # the root is the empty subset
-        w = min(fork.worker_count(), fits) if fits >= _FORK_MIN_SUBSETS else 1
+        # whole batches: every fit's stacked elements, m * C(k, m) * n summed
+        # over the sizes m, over the budget; a batch holds one fit at least
+        w = fork.workers(min(fits, n * k * _subtree_size(k - 1, max_size - 1)
+                             // _FIT_BATCH_ELEMENTS))
 
         def fit_range(part):
             reports, batches = [], {}

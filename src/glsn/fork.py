@@ -1,11 +1,12 @@
 """Run one function over the parts of a job in forked worker processes.
 
-`run_parts` calls `fn` on each part: part 0 in this process, every other part
-in a child forked with plain `os.fork`, which pickles its result back over a
-pipe and always leaves through `os._exit`. The results come back as a list
-in part order. A `DataError` raised by `fn` in a child is sent back and
-raised here; any other failure of a child prints its traceback and sends
-nothing, and the call raises `RuntimeError`. There is no serial fallback.
+`workers` is the one rule for how many parts a job gets. `run_parts` calls
+`fn` on each part: part 0 in this process, every other part in a child
+forked with plain `os.fork`, which pickles its result back over a pipe and
+always leaves through `os._exit`. The results come back as a list in part
+order. A `DataError` raised by `fn` in a child is sent back and raised
+here; any other failure of a child prints its traceback and sends nothing,
+and the call raises `RuntimeError`. There is no serial fallback.
 """
 
 from __future__ import annotations
@@ -31,6 +32,14 @@ def worker_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def workers(batches: int) -> int:
+    """Processes for a job of `batches` whole batches, each pass counting
+    them by its own element budget: one per CPU of the mask, but at most one
+    per batch and at least one. So a job of fewer than two batches runs in
+    the calling process, where a fork costs more than it saves."""
+    return max(1, min(worker_count(), batches))
 
 
 def _child(fd: int, fn: Callable[[P], R], part: P, cpu: int | None) -> None:

@@ -40,12 +40,13 @@ into 32-bit limbs on that grid, exactly, and keeps one int64 sum per limb
 and port, never a dep row per source.
 
 Each source's traversal is independent, so the sources are interleaved over
-forked worker processes, one per CPU, through `fork.run_parts` (Bader &
-Madduri, ICPP 2006). A worker sends back its gb keys and sums and, with fb,
-its limb sums. The blocks merge exactly: the gb counts are summed once as
-integers, and fb's limbs are summed as integers and each port's exact sum
-rounded once, as math.fsum rounds, so any worker count and any batch size
-give the same bits.
+forked worker processes through `fork.run_parts` (Bader & Madduri, ICPP
+2006): one per CPU, but at most one per whole batch (`fork.workers`), so a
+graph of fewer than two batches stays in one process. A worker sends back
+its gb keys and sums and, with fb, its limb sums. The blocks merge exactly:
+the gb counts are summed once as integers, and fb's limbs are summed as
+integers and each port's exact sum rounded once, as math.fsum rounds, so
+any worker count and any batch size give the same bits.
 """
 
 from __future__ import annotations
@@ -417,7 +418,7 @@ def _round_limbs(limbs: np.ndarray) -> list[float]:
 
 
 def _block(
-    a: _Arrays, sources: range, depth_cap: int, fb: bool
+    a: _Arrays, sources: range, depth_cap: int, fb: bool, size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """gb's counts and, with fb, the limb sums of the dep rows for the pairs
     counted from `sources`.
@@ -425,14 +426,12 @@ def _block(
     A pair's shortest paths share one length d, so each pair s < t, counted
     from s, adds its integer delta[c] for each country index c under the
     key (n_st * (depth_cap + 1) + d) * width + c. The sources are traversed
-    in batches of _BATCH_ELEMENTS // (ports + directed edges), at least one,
-    and each batch's counts are summed into the block's as it ends: the
-    distinct keys, ascending, and the count under each. Each batch's dep
-    rows are split into limbs and added into one (_LIMBS, n) int64
-    accumulator (see `_limb_sums`), so a worker holds the dep rows of one
-    batch at a time.
+    in batches of `size`, and each batch's counts are summed into the
+    block's as it ends: the distinct keys, ascending, and the count under
+    each. Each batch's dep rows are split into limbs and added into one
+    (_LIMBS, n) int64 accumulator (see `_limb_sums`), so a worker holds the
+    dep rows of one batch at a time.
     """
-    size = max(1, _BATCH_ELEMENTS // max(1, len(a.ports) + len(a.indices)))
     src = np.arange(sources.start, sources.stop, sources.step, dtype=np.int32)
     keys, sums = np.zeros(0, np.int64), np.zeros(0, np.int64)
     limbs = np.zeros((_LIMBS, len(a.ports)), np.int64) if fb else None
@@ -452,18 +451,19 @@ def _betweenness(
 ) -> tuple[dict[int, dict[str, Fraction]], dict[str, float] | None]:
     """Exact gb per cap in l_values and, with fb, port betweenness (else None).
 
-    The sources are interleaved over `fork.worker_count()` processes, at least
-    one and at most one per port, worker i taking sources i, i + workers, ...;
-    the blocks' counts are summed once, when all have arrived. A cap's total
-    sums delta/n_st exactly over the keys within it, as integers over the
-    lcm of all n_st: one Fraction per country and cap. fb adds the blocks'
-    limb sums as integers and rounds each port's exact sum once.
+    The sources are interleaved over `fork.workers` of the whole batches,
+    worker i taking sources i, i + workers, ...; the blocks' counts are
+    summed once, when all have arrived. A cap's total sums delta/n_st
+    exactly over the keys within it, as integers over the lcm of all n_st:
+    one Fraction per country and cap. fb adds the blocks' limb sums as
+    integers and rounds each port's exact sum once.
     """
     a = _Arrays.of(g)
     n = len(a.ports)
-    workers = max(1, min(fork.worker_count(), n))
+    size = max(1, _BATCH_ELEMENTS // max(1, n + len(a.indices)))
+    workers = fork.workers(n // size)
     depth_cap = max(l_values, default=0)
-    parts = fork.run_parts(lambda sources: _block(a, sources, depth_cap, fb),
+    parts = fork.run_parts(lambda sources: _block(a, sources, depth_cap, fb, size),
                            [range(i, n, workers) for i in range(workers)])
 
     keys, sums = _sum_by(np.concatenate([part[0] for part in parts]),

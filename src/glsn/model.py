@@ -54,10 +54,6 @@ class ServiceRoute:
     def distinct_ports(self) -> frozenset[str]:
         return frozenset(self.port_calls)
 
-    @property
-    def has_repeated_calls(self) -> bool:
-        return len(self.port_calls) > len(self.distinct_ports)
-
 
 @dataclass(frozen=True)
 class CountryEcon:

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+import glsn.fork
 from glsn.graph import Glsn, WeightScheme
 
 
@@ -45,3 +46,18 @@ def assert_no_child_and_mask(mask):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert os.sched_getaffinity(0) == mask
+
+
+def part_counts(monkeypatch, of: str = "") -> list[int]:
+    """The part count of every later `fork.run_parts` call whose function's
+    qualified name starts with `of`, in call order."""
+    counts = []
+    run_parts = glsn.fork.run_parts
+
+    def counted(fn, parts):
+        if fn.__qualname__.startswith(of):
+            counts.append(len(parts))
+        return run_parts(fn, parts)
+
+    monkeypatch.setattr(glsn.fork, "run_parts", counted)
+    return counts

@@ -15,7 +15,7 @@ import glsn.fork
 from glsn.cli import CANDIDATES, main
 from glsn.indices import country_connectivity, glsn_betweenness_exact
 
-from conftest import make_glsn
+from conftest import make_glsn, part_counts
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "fixture"
@@ -258,19 +258,23 @@ class TestReportDeterminism:
                                                               "100", "--n-countries", "30"])
 
     def test_forked_walk_matches_one_process(self, tmp_path, monkeypatch):
-        # every candidate, so the walk fits 127 subsets and forks too; the
-        # golden fixture has 6 countries, too few for 7 candidates
+        # every candidate over 40 countries, so the walk's 127 fits fill two
+        # whole batches and fork too; the golden fixture has 6 countries,
+        # too few for 7 candidates, and 80 ports make gc_norm collinear
+        walks = part_counts(monkeypatch, of="select_model.")
         _assert_same_at_worker_counts(
-            tmp_path, monkeypatch, ["--n-ports", "40", "--n-routes", "20", "--n-countries", "12"],
+            tmp_path, monkeypatch, ["--n-ports", "100", "--n-routes", "40", "--n-countries", "40"],
             ["--candidates", ",".join(CANDIDATES)])
+        assert walks[-1] > 1  # the three-worker run
 
     def test_collinear_forked_walk_is_a_data_error(self, tmp_path, monkeypatch, capfd):
-        # 3 ports in each of 12 countries: gc_norm is gc / 3, exactly collinear
+        # 3 ports in each of 40 countries: gc_norm is gc / 3, exactly collinear
         data = tmp_path / "data"
-        assert run(["gen-fixture", "--seed", "11", "--n-ports", "36", "--n-routes", "20",
-                    "--n-countries", "12", "--out", data]) == 0
+        assert run(["gen-fixture", "--seed", "11", "--n-ports", "120", "--n-routes", "60",
+                    "--n-countries", "40", "--out", data]) == 0
         args = [str(a).replace(str(FIXTURE), str(data)) for a in REPORT_ARGS]
         capfd.readouterr()
+        walks = part_counts(monkeypatch, of="select_model.")
         errors = []
         for workers in [1, glsn.fork.worker_count(), 3]:
             monkeypatch.setattr(glsn.fork, "worker_count", lambda w=workers: w)
@@ -281,6 +285,7 @@ class TestReportDeterminism:
             errors.append(err.splitlines()[-1])
         assert errors == [
             "error: design matrix is rank deficient (exactly collinear columns)"] * 3
+        assert walks[-1] > 1  # the three-worker run
 
 
 def _assert_same_at_worker_counts(tmp_path, monkeypatch, fixture_args, report_args=()):

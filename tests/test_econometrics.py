@@ -26,7 +26,7 @@ from glsn.econometrics import (
 )
 from glsn.model import DataError
 
-from conftest import assert_no_child_and_mask
+from conftest import assert_no_child_and_mask, part_counts
 
 
 def design(x, y, names=None, response="y"):
@@ -642,19 +642,22 @@ class TestForkedWalk:
         select_model(k12_design(11))
         assert parts == [((0, 2047), 2047), ((2047, 4095), 2048)]
 
-    def test_forks_from_127_subsets(self, monkeypatch):
-        forks = []
-        run_parts = glsn.fork.run_parts
-
-        def counted(fn, parts):
-            forks.append(len(parts))
-            return run_parts(fn, parts)
-
-        monkeypatch.setattr(glsn.fork, "run_parts", counted)
+    def test_forks_from_two_whole_batches(self, monkeypatch):
+        forks = part_counts(monkeypatch)
         monkeypatch.setattr(glsn.fork, "worker_count", lambda: 2)
-        for k in (6, 7):  # 63 and 127 subsets
-            select_model(correlated_design(k))
-        assert forks == [1, 2]
+        # the fits' stacked elements, sum of m * C(k, m) * n, over 1 << 13:
+        # 11,520 (1 batch), 26,880 (3) and 13,440 (1)
+        for k, n in [(6, 60), (7, 60), (7, 30)]:
+            select_model(correlated_design(k, n=n))
+        assert forks == [1, 2, 1]
+
+    def test_no_more_parts_than_fits(self, monkeypatch):
+        # 2 candidates over 10,000 rows: 40,000 stacked elements fill 4 whole
+        # batches of 1 << 13, but the 3 fits make 3 batches at most
+        forks = part_counts(monkeypatch)
+        monkeypatch.setattr(glsn.fork, "worker_count", lambda: 8)
+        assert len(select_model(correlated_design(2, n=10000)).table) == 3
+        assert forks == [3]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_exactly_collinear_design_raises(self, monkeypatch, workers):

@@ -1,6 +1,9 @@
+import ast
 import os
 import signal
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,7 @@ from glsn.fork import run_parts, worker_count
 from glsn.model import DataError
 
 from conftest import assert_no_child_and_mask
+from test_float_sums import _Scoped
 
 
 class TestRunParts:
@@ -112,3 +116,41 @@ class TestWorkerCount:
             assert worker_count() == 1
         finally:
             os.sched_setaffinity(0, mask)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("cpus, batches, expected", [
+        (1, 0, 1), (1, 1, 1), (1, 2, 1), (1, 7, 1),
+        (2, 0, 1), (2, 1, 1), (2, 2, 2), (2, 7, 2),
+        (3, 0, 1), (3, 1, 1), (3, 2, 2), (3, 7, 3),
+    ])
+    def test_one_per_cpu_at_most_one_per_batch(self, monkeypatch, cpus, batches, expected):
+        monkeypatch.setattr(glsn.fork, "worker_count", lambda: cpus)
+        assert glsn.fork.workers(batches) == expected
+
+    def test_only_workers_reads_the_cpu_count(self):
+        # a pass that sized its own fork from the CPU count would bypass the
+        # batch rule; every use of the name, called or not, is counted
+        found = Counter()
+        for path in sorted(Path(glsn.fork.__file__).parent.glob("*.py")):
+            uses = _WorkerCountUses(path)
+            uses.visit(ast.parse(path.read_text(), str(path)))
+            found += uses.found
+        assert dict(found) == {("fork.py", "workers"): 1}
+
+
+class _WorkerCountUses(_Scoped):
+    """Counts the uses of the name worker_count by file and innermost function."""
+
+    def __init__(self, path: Path):
+        super().__init__()
+        self.path = path
+
+    def visit_Name(self, node):
+        if node.id == "worker_count":
+            self.found[(self.path.name, self.where[-1])] += 1
+
+    def visit_Attribute(self, node):
+        if node.attr == "worker_count":
+            self.found[(self.path.name, self.where[-1])] += 1
+        self.generic_visit(node)

@@ -27,7 +27,7 @@ from glsn.indices import (
 from glsn.ingest import parse_ports, parse_routes, validate_dataset
 from glsn.model import DataError
 
-from conftest import assert_no_child_and_mask, make_glsn, random_glsn
+from conftest import assert_no_child_and_mask, make_glsn, part_counts, random_glsn
 from oracle import (
     all_shortest_paths,
     glsn_betweenness_oracle,
@@ -856,6 +856,12 @@ def _fixture_graph(seed, n_ports, n_routes, n_countries):
     return build_glsn(ds.routes, ds.ports, WeightScheme.UNWEIGHTED)
 
 
+def _one_source_per_batch(monkeypatch, g):
+    """A batch budget of one source, so that a graph too small to fork at
+    the default budget holds a whole batch per port."""
+    monkeypatch.setattr(glsn.indices, "_BATCH_ELEMENTS", len(g.country_of) + 2 * len(g.edges))
+
+
 def _at(workers, g, l_values, fb):
     """`_betweenness` with `workers` forced through `fork.worker_count`."""
     with pytest.MonkeyPatch.context() as mp:
@@ -868,9 +874,10 @@ def _at(workers, g, l_values, fb):
 ], ids=str)
 def graph_and_serial(request):
     """One graph, the golden one or a generated one, with its one-process gb
-    and port betweenness."""
-    g = _golden_graph() if request.param == "golden" else _fixture_graph(*request.param)
-    return g, _at(1, g, L_VALUES, True)
+    and port betweenness, and whether it is the golden one."""
+    golden = request.param == "golden"
+    g = _golden_graph() if golden else _fixture_graph(*request.param)
+    return g, _at(1, g, L_VALUES, True), golden
 
 
 class TestForkedPass:
@@ -878,8 +885,10 @@ class TestForkedPass:
     whatever the worker count, and leave no child and no CPU pin behind."""
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_same_bits_as_one_process(self, graph_and_serial, workers):
-        g, (gb, b) = graph_and_serial
+    def test_same_bits_as_one_process(self, monkeypatch, graph_and_serial, workers):
+        g, (gb, b), golden = graph_and_serial
+        if golden:  # under two batches at the default budget
+            _one_source_per_batch(monkeypatch, g)
         mask = os.sched_getaffinity(0)
         split_gb, split_b = _at(workers, g, L_VALUES, True)
         assert split_gb == gb
@@ -887,10 +896,11 @@ class TestForkedPass:
         assert_no_child_and_mask(mask)
 
     @pytest.mark.parametrize("workers", [4, 7])
-    def test_uneven_blocks(self, workers):
+    def test_uneven_blocks(self, monkeypatch, workers):
         # 30 ports: blocks of 8 and 7 sources, or of 5 and 4; gb alone too
         g = _golden_graph()
         assert len(g.country_of) == 30
+        _one_source_per_batch(monkeypatch, g)
         mask = os.sched_getaffinity(0)
         assert _at(workers, g, (2, 4), True) == _at(1, g, (2, 4), True)
         assert _at(workers, g, (3,), False) == _at(1, g, (3,), False)
@@ -905,7 +915,8 @@ class TestForkedPass:
         assert table.countries() == [] and table.fb == {}
         assert table.gb == {l: {} for l in L_VALUES}
 
-    def test_more_workers_than_ports(self, chain_graph):
+    def test_more_workers_than_ports(self, monkeypatch, chain_graph):
+        _one_source_per_batch(monkeypatch, chain_graph)
         mask = os.sched_getaffinity(0)
         assert _at(5, chain_graph, L_VALUES, True) == _at(1, chain_graph, L_VALUES, True)
         assert_no_child_and_mask(mask)
@@ -923,6 +934,7 @@ class TestForkedPass:
 
         monkeypatch.setattr(glsn.indices, "_batch", failing_batch)
         g = _golden_graph()
+        _one_source_per_batch(monkeypatch, g)
         mask = os.sched_getaffinity(0)
         with pytest.raises(raised):
             _at(2, g, L_VALUES, True)
@@ -931,22 +943,27 @@ class TestForkedPass:
             assert "ZeroDivisionError: planted" in capfd.readouterr().err
 
     def test_worker_count_chooses_the_path(self, monkeypatch):
-        forks = []
-        run_parts = glsn.fork.run_parts
-
-        def counted(fn, parts):
-            if len(parts) > 1:  # one part runs in this process, with no fork
-                forks.append(len(parts))
-            return run_parts(fn, parts)
-
         g = _golden_graph()
-        monkeypatch.setattr(glsn.fork, "run_parts", counted)
+        _one_source_per_batch(monkeypatch, g)
+        counts = part_counts(monkeypatch)
         port_betweenness(g)
         for workers in [1, 3]:
             monkeypatch.setattr(glsn.fork, "worker_count", lambda w=workers: w)
             port_betweenness(g)
         cpus = len(os.sched_getaffinity(0))
-        assert forks == ([cpus, 3] if cpus > 1 else [3])
+        # one part runs in this process, with no fork
+        assert [c for c in counts if c > 1] == ([cpus, 3] if cpus > 1 else [3])
+
+    def test_under_two_batches_stays_in_one_process(self, monkeypatch):
+        # at the default budget the golden graph's 30 sources fill under one
+        # batch, and the 300-port benchmark fixture of seed 55 five or more
+        golden, seed55 = _golden_graph(), _seed55_graph()
+        counts = part_counts(monkeypatch)
+        monkeypatch.setattr(glsn.fork, "worker_count", lambda: 3)
+        build_index_table(golden, golden)
+        monkeypatch.setattr(glsn.fork, "worker_count", lambda: 2)
+        build_index_table(seed55, seed55)
+        assert counts == [1, 2]
 
 
 def _traced_peak(run, g):

@@ -37,7 +37,7 @@ def test_parse_routes_circular_revisit_kept():
     (r,) = parse_routes(s(text))
     assert r.port_calls == ("A", "B", "C", "A")
     assert len(r.distinct_ports) == 3
-    assert r.has_repeated_calls
+    assert len(r.port_calls) > len(r.distinct_ports)
 
 
 def test_parse_routes_empty_file():
