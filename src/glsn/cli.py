@@ -342,7 +342,7 @@ def cmd_gravity(run: Run) -> None:
                   report_rows)
 
     variant, fit, samples = first_fit
-    estimate = estimate_country_trade(fit, samples, variant)
+    estimate = estimate_country_trade(fit, samples)
     run.write_csv(
         "pair_predictions.csv",
         ["country_i", "country_j", "ln_btv_emp", "ln_btv_pred"],

@@ -42,13 +42,11 @@ def workers(batches: int) -> int:
     return max(1, min(worker_count(), batches))
 
 
-def _child(fd: int, fn: Callable[[P], R], part: P, cpu: int | None) -> None:
+def _child(fd: int, fn: Callable[[P], R], part: P) -> None:
     """A forked worker: pickle (DataError or None, result) to fd, then leave
     through os._exit, so that nothing of the parent's stack runs twice."""
     code = 1
     try:
-        if cpu is not None:
-            os.sched_setaffinity(0, {cpu})
         try:
             sent = (None, fn(part))  # fd stays open until a traceback is out
         except DataError as exc:
@@ -65,16 +63,9 @@ def _child(fd: int, fn: Callable[[P], R], part: P, cpu: int | None) -> None:
 def run_parts(fn: Callable[[P], R], parts: Sequence[P]) -> list[R]:
     """[fn(part) for part in parts], with parts 1.. run in forked children.
 
-    When there are two or more parts, one per CPU of this process's mask,
-    each process is pinned to its own CPU, this one to the first, and this
-    process's mask is restored afterwards: left to itself, the scheduler of a
-    2-vCPU VM was seen to keep both processes on one CPU. Otherwise the
-    scheduler places them. Every child is reaped before this returns or
-    raises, and killed first if the call failed.
+    The scheduler places every process. Every child is reaped before this
+    returns or raises, and killed first if the call failed.
     """
-    mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
-    pin = 1 < len(parts) == len(mask)
-    cpus = sorted(mask)
     children: list[tuple[int, BinaryIO]] = []
     done = False
     try:
@@ -88,11 +79,9 @@ def run_parts(fn: Callable[[P], R], parts: Sequence[P]) -> list[R]:
                 raise
             if pid == 0:
                 os.close(r)
-                _child(w, fn, parts[i], cpus[i] if pin else None)
+                _child(w, fn, parts[i])
             os.close(w)
             children.append((pid, open(r, "rb")))
-        if pin:
-            os.sched_setaffinity(0, {cpus[0]})
         results = [fn(parts[0])]
         for i, (_, f) in enumerate(children, 1):
             try:
@@ -104,8 +93,6 @@ def run_parts(fn: Callable[[P], R], parts: Sequence[P]) -> list[R]:
             results.append(result)
         done = True
     finally:
-        if pin:
-            os.sched_setaffinity(0, mask)
         for pid, f in children:
             f.close()
             if not done:

@@ -190,16 +190,13 @@ def fit_gravity(
     return ols_fit(_design_from_samples(samples, variant))
 
 
-def predict_ln_btv(
-    report: RegressionReport, samples: list[CountryPairSample], variant: GravityVariant
-) -> list[float]:
+def predict_ln_btv(report: RegressionReport, samples: list[CountryPairSample]) -> list[float]:
     """Predicted ln(trade) of each sample, in sample order."""
     coef = report.coefficients
-    names = variant.variable_names()
     out = []
     for s in samples:
         pred = coef["intercept"]
-        for name in names:
+        for name in report.variables:
             pred += coef[name] * getattr(s, name)
         out.append(pred)
     return out
@@ -215,13 +212,11 @@ class TradeEstimate:
 
 
 def estimate_country_trade(
-    report: RegressionReport,
-    samples: list[CountryPairSample],
-    variant: GravityVariant,
+    report: RegressionReport, samples: list[CountryPairSample]
 ) -> TradeEstimate:
     """Country totals from exp of predicted ln(trade), summed over a country's
     included pairs; no log-normal correction is applied."""
-    ln_predicted = predict_ln_btv(report, samples, variant)
+    ln_predicted = predict_ln_btv(report, samples)
     est: dict[str, float] = {}
     emp: dict[str, float] = {}
     for s, ln_pred in zip(samples, ln_predicted):

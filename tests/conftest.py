@@ -3,7 +3,9 @@ import os
 import numpy as np
 import pytest
 
+import glsn.econometrics
 import glsn.fork
+import glsn.indices
 from glsn.graph import Glsn, WeightScheme
 
 
@@ -61,3 +63,13 @@ def part_counts(monkeypatch, of: str = "") -> list[int]:
 
     monkeypatch.setattr(glsn.fork, "run_parts", counted)
     return counts
+
+
+def fork_both_passes(monkeypatch) -> tuple[list[int], list[int]]:
+    """Make each source of the gb/fb pass and each fit of the subset walk a
+    whole batch, so both passes fork even on the 30-port golden fixture; the
+    part counts of each pass's later `fork.run_parts` calls."""
+    monkeypatch.setattr(glsn.indices, "_BATCH_ELEMENTS", 1)
+    monkeypatch.setattr(glsn.econometrics, "_FIT_BATCH_ELEMENTS", 1)
+    return (part_counts(monkeypatch, of="_betweenness."),
+            part_counts(monkeypatch, of="select_model."))

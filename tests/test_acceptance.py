@@ -32,7 +32,7 @@ from glsn.indices import (
     port_betweenness,
 )
 
-from conftest import make_glsn, random_glsn
+from conftest import fork_both_passes, make_glsn, random_glsn
 from oracle import glsn_betweenness_oracle, port_betweenness_oracle, valid_shortest_path_profile
 
 DATA = Path(__file__).parent / "data"
@@ -196,6 +196,8 @@ def test_criterion_end_to_end_determinism(tmp_path, monkeypatch, workers):
     fixture = DATA / "fixture"
     golden = DATA / "golden_report"
     monkeypatch.setattr(glsn.fork, "worker_count", lambda: workers)
+    if workers > 1:
+        passes = fork_both_passes(monkeypatch)
     start = time.monotonic()
     code = cli_main([
         "report",
@@ -209,6 +211,8 @@ def test_criterion_end_to_end_determinism(tmp_path, monkeypatch, workers):
     elapsed = time.monotonic() - start
     assert code == 0
     assert elapsed < 5.0
+    if workers > 1:
+        assert passes == ([workers], [workers])
     names = sorted(p.name for p in golden.iterdir())
     assert sorted(p.name for p in tmp_path.iterdir()) == names
     _, mismatch, errors = filecmp.cmpfiles(tmp_path, golden, names, shallow=False)

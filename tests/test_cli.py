@@ -15,7 +15,7 @@ import glsn.fork
 from glsn.cli import CANDIDATES, main
 from glsn.indices import country_connectivity, glsn_betweenness_exact
 
-from conftest import make_glsn, part_counts
+from conftest import fork_both_passes, make_glsn, part_counts
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "fixture"
@@ -240,7 +240,11 @@ class TestReportDeterminism:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_byte_identical_to_golden(self, tmp_path, monkeypatch, workers):
         monkeypatch.setattr(glsn.fork, "worker_count", lambda: workers)
+        if workers > 1:
+            passes = fork_both_passes(monkeypatch)
         assert run(["report", *REPORT_ARGS, "--out", tmp_path]) == 0
+        if workers > 1:
+            assert passes == ([workers], [workers])
         golden_files = sorted(p.name for p in GOLDEN.iterdir())
         produced = sorted(p.name for p in tmp_path.iterdir())
         assert produced == golden_files
@@ -252,8 +256,7 @@ class TestReportDeterminism:
 
     def test_forked_pass_matches_one_process(self, tmp_path, monkeypatch):
         # a 300-port report with the gb/fb pass in one process, over the
-        # CPUs of the mask (pinned) and over three workers (pinned only if
-        # there are three CPUs)
+        # CPUs of the mask and over three workers
         _assert_same_at_worker_counts(tmp_path, monkeypatch, ["--n-ports", "300", "--n-routes",
                                                               "100", "--n-countries", "30"])
 
@@ -360,6 +363,56 @@ class TestTruncatedRow:
             assert [l for l in lines if l.startswith("error: ")] == lines[-1:], lines
             assert f"line {i + 2}" in lines[-1]
             assert not out.exists()
+
+
+_FIELD_VALUES = [b"nan", b"inf", b"1e309", b"", b'"', b"\xff\xfe"]
+_EDITS = ["replace", "drop", "duplicate", "truncate", "add"]
+
+
+class TestEditedInputs:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_report_exits_0_or_with_one_error_line(self, data):
+        # one to three edits anywhere in the golden inputs, headers included:
+        # a field replaced, a line dropped, duplicated or cut short, or a
+        # field added; a run that fails ends in one error line, no traceback
+        files = {f.name: f.read_bytes().splitlines(keepends=True) for f in FIXTURE.iterdir()}
+        for _ in range(data.draw(st.integers(1, 3), label="edits")):
+            name = data.draw(st.sampled_from(sorted(n for n in files if files[n])), label="file")
+            lines = files[name]
+            i = data.draw(st.integers(0, len(lines) - 1), label="line")
+            edit = data.draw(st.sampled_from(_EDITS), label="edit")
+            if edit == "drop":
+                del lines[i]
+            elif edit == "duplicate":
+                lines.insert(i, lines[i])
+            else:
+                line = lines[i].rstrip(b"\n")
+                if edit == "replace":
+                    fields = line.split(b",")
+                    j = data.draw(st.integers(0, len(fields) - 1), label="field")
+                    fields[j] = data.draw(st.sampled_from(_FIELD_VALUES), label="value")
+                    line = b",".join(fields)
+                elif edit == "truncate":
+                    line = line[:data.draw(st.integers(0, max(0, len(line) - 1)), label="cut")]
+                else:
+                    line += b",1"
+                lines[i] = line + b"\n"
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            inputs = Path(tmp) / "in"
+            inputs.mkdir()
+            for name, lines in files.items():
+                (inputs / name).write_bytes(b"".join(lines))
+            mp.setattr(glsn.fork, "worker_count", lambda: 1)
+            args = [str(a).replace(str(FIXTURE), str(inputs)) for a in REPORT_ARGS]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(["report", *args, "--out", Path(tmp) / "out"])
+        assert code in (0, 1)
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert [l for l in lines if l.startswith("error: ")] == lines[-1:], lines
+            assert "Traceback" not in err.getvalue()
 
 
 class TestRunChecks:

@@ -578,7 +578,7 @@ def walk_design(request):
 
 class TestForkedWalk:
     """The walk's ranges fitted in forked workers give the table and the
-    verdict of one process, and leave no child and no CPU pin behind."""
+    verdict of one process, and leave no child and the CPU mask as it was."""
 
     @pytest.mark.parametrize("workers", [2, 3, 4, 5])
     def test_same_bits_as_one_process(self, walk_design, workers, monkeypatch):

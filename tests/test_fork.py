@@ -26,10 +26,9 @@ class TestRunParts:
         assert all(pid != me for _, pid in results[1:])
         assert_no_child_and_mask(mask)
 
-    def test_one_part_forks_and_pins_nothing(self, monkeypatch):
+    def test_one_part_runs_here_without_a_fork(self, monkeypatch):
         calls = []
         monkeypatch.setattr(os, "fork", lambda: calls.append("fork"))
-        monkeypatch.setattr(os, "sched_setaffinity", lambda *a: calls.append("pin"))
         assert run_parts(lambda p: p + 1, [41]) == [42]
         assert calls == []
 
@@ -84,20 +83,16 @@ class TestRunParts:
         assert [os.WIFSIGNALED(s) and os.WTERMSIG(s) for s in statuses] == [signal.SIGKILL] * 2
         assert_no_child_and_mask(mask)
 
-    def test_pins_only_one_part_per_cpu(self, monkeypatch):
+    def test_sets_no_cpu_mask(self, monkeypatch):
+        # a call in a child fails it, so run_parts raises RuntimeError there
         mask = os.sched_getaffinity(0)
-        calls = []
-        setaffinity = os.sched_setaffinity
 
-        def recorded(pid, cpus):
-            calls.append(set(cpus))
-            setaffinity(pid, cpus)
+        def forbidden(*args):
+            raise AssertionError(f"sched_setaffinity{args}")
 
-        monkeypatch.setattr(os, "sched_setaffinity", recorded)
-        run_parts(lambda p: p, list(range(len(mask) + 1)))
-        assert calls == []
-        run_parts(lambda p: p, list(range(len(mask))))
-        assert calls == ([{min(mask)}, mask] if len(mask) > 1 else [])
+        monkeypatch.setattr(os, "sched_setaffinity", forbidden)
+        for n_parts in (len(mask), len(mask) + 1):
+            assert run_parts(lambda p: p, list(range(n_parts))) == list(range(n_parts))
         assert_no_child_and_mask(mask)
 
 

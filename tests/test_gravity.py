@@ -203,7 +203,7 @@ class TestEstimateCountryTrade:
         rng = np.random.default_rng(2)
         samples = synth_samples(rng, 60)
         rep = fit_gravity(samples, GravityVariant.BASE)
-        est = estimate_country_trade(rep, samples, GravityVariant.BASE)
+        est = estimate_country_trade(rep, samples)
         for c in est.empirical:
             assert est.estimated[c] == pytest.approx(est.empirical[c], rel=1e-6)
         assert est.pearson_r == pytest.approx(1.0, abs=1e-9)
@@ -214,9 +214,9 @@ class TestEstimateCountryTrade:
         rng = np.random.default_rng(3)
         samples = synth_samples(rng, 50, noise_sd=0.1)
         rep = fit_gravity(samples, GravityVariant.BASE)
-        est = estimate_country_trade(rep, samples, GravityVariant.BASE)
+        est = estimate_country_trade(rep, samples)
         s = samples[7]
-        expected = math.exp(predict_ln_btv(rep, [s], GravityVariant.BASE)[0])
+        expected = math.exp(predict_ln_btv(rep, [s])[0])
         assert est.estimated[s.country_i] == pytest.approx(expected)
         assert est.estimated[s.country_j] == pytest.approx(expected)
 
@@ -231,7 +231,7 @@ class TestEstimateCountryTrade:
             return coefficients.fget(report)
 
         monkeypatch.setattr(econometrics.RegressionReport, "coefficients", property(counted))
-        estimate_country_trade(rep, samples, GravityVariant.BASE)
+        estimate_country_trade(rep, samples)
         assert len(reads) == 1
 
     def test_reconstruction_computes_no_p_value(self, monkeypatch):
@@ -240,8 +240,7 @@ class TestEstimateCountryTrade:
 
         monkeypatch.setattr(econometrics, "_t_two_sided_p", no_tail)
         samples = synth_samples(np.random.default_rng(11), 50, noise_sd=0.3)
-        est = estimate_country_trade(
-            fit_gravity(samples, GravityVariant.BASE), samples, GravityVariant.BASE)
+        est = estimate_country_trade(fit_gravity(samples, GravityVariant.BASE), samples)
         assert est.pearson_r == pytest.approx(0.9942289786363592, abs=1e-12)
 
     def test_noisy_reconstruction_reproducible_golden(self):
@@ -249,7 +248,7 @@ class TestEstimateCountryTrade:
         rng = np.random.default_rng(11)
         samples = synth_samples(rng, 50, noise_sd=0.3)
         rep = fit_gravity(samples, GravityVariant.BASE)
-        est = estimate_country_trade(rep, samples, GravityVariant.BASE)
+        est = estimate_country_trade(rep, samples)
         assert 0.7 <= est.pearson_r <= 1.0
         assert est.pearson_r == pytest.approx(0.9942289786363592, abs=1e-12)
 

@@ -882,7 +882,7 @@ def graph_and_serial(request):
 
 class TestForkedPass:
     """Sources interleaved over forked workers give the bits of one process,
-    whatever the worker count, and leave no child and no CPU pin behind."""
+    whatever the worker count, and leave no child and the CPU mask as it was."""
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_same_bits_as_one_process(self, monkeypatch, graph_and_serial, workers):
