@@ -151,12 +151,16 @@ class Run:
         return self.inputs[path]
 
     def parse(self, parser, *paths: str):
-        """Parse the files at `paths`, each read once, with `parser`."""
-        streams = [io.BytesIO(self.read(p)) for p in paths]
-        try:
-            return parser(*streams)
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{', '.join(paths)}: not UTF-8 text ({exc.reason})") from None
+        """Parse the files at `paths`, each read once and decoded once as
+        UTF-8 with universal newlines, with `parser`."""
+        streams = []
+        for path in paths:
+            try:
+                text = self.read(path).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            streams.append(io.StringIO(text, newline=None))
+        return parser(*streams)
 
     @cached_property
     def dataset(self):
@@ -292,17 +296,14 @@ def cmd_regress(run: Run) -> None:
             for r in selection.table
         ],
     )
-    if selection.verdict is not None:
-        rep = selection.verdict.report
-        coef, ci95, p_values = rep.coefficients, rep.ci95, rep.p_values
-        run.write_csv(
-            "coefficients.csv",
-            ["variable", "coef", "ci_lo", "ci_hi", "p_value"],
-            [[name, b, *ci95[name], p_values[name]] for name, b in coef.items()],
-        )
-        verdict = "+".join(selection.verdict.variables)
-    else:
-        verdict = "none admissible"
+    rep = selection.verdict.report
+    coef, ci95, p_values = rep.coefficients, rep.ci95, rep.p_values
+    run.write_csv(
+        "coefficients.csv",
+        ["variable", "coef", "ci_lo", "ci_hi", "p_value"],
+        [[name, b, *ci95[name], p_values[name]] for name, b in coef.items()],
+    )
+    verdict = "+".join(selection.verdict.variables)
     run.write_csv(
         "scatter.csv",
         ["country_code", *candidates, args.dependent],

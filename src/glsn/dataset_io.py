@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 from collections.abc import Sequence
 
@@ -29,10 +30,13 @@ def fmt(v) -> str:
 
 
 def csv_text(columns: Sequence[str], rows) -> str:
+    """The header and rows as CSV, each line ended by "\n". A field that
+    holds a comma, a quote or a line feed is quoted, so the parsers read it
+    back whole."""
     buf = io.StringIO()
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(fmt(v) for v in row) + "\n")
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(columns)
+    out.writerows(map(fmt, row) for row in rows)
     return buf.getvalue()
 
 

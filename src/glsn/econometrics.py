@@ -113,16 +113,8 @@ _PI = Decimal("3.14159265358979323846264338327950288419716939937510")
 # digits, and the series is several times cheaper than the continued fraction
 # near its switch point
 _T_SERIES_MAX_T2 = 36
-# Cornish-Fisher terms g_k(z) of the t quantile, t = z + sum g_k(z) / nu^k,
-# at the normal 0.975 quantile z (Abramowitz & Stegun 26.7.5)
+# the normal 0.975 quantile, where the search for the t quantile starts
 _Z975 = 1.959963984540054
-_CORNISH_FISHER = (
-    (_Z975**2 + 1) * _Z975 / 4,
-    ((5 * _Z975**2 + 16) * _Z975**2 + 3) * _Z975 / 96,
-    (((3 * _Z975**2 + 19) * _Z975**2 + 17) * _Z975**2 - 15) * _Z975 / 384,
-    ((((79 * _Z975**2 + 776) * _Z975**2 + 1482) * _Z975**2 - 1920) * _Z975**2 - 945)
-    * _Z975 / 92160,
-)
 
 
 @dataclass(frozen=True)
@@ -408,13 +400,14 @@ def _t_two_sided_p(t: float, dof: int) -> float:
 def _t_quantile_975(dof: int) -> float:
     """The quantile of Student's t at the double 0.975, once per dof: Halley's
     method (Newton's with the second derivative) on the two-sided tail in
-    decimal arithmetic, from a Cornish-Fisher estimate. The tail's derivative
-    is -2 density(t), its second 2 density(t) (dof+1) t / (dof+t^2). For t > 0
-    the tail is convex and the steps converge cubically: once a step is below
-    1e-12 t, what is left is about its cube."""
+    decimal arithmetic, from the normal quantile, which lies below every t
+    quantile. The tail's derivative is -2 density(t), its second
+    2 density(t) (dof+1) t / (dof+t^2). For t > 0 the tail is convex and the
+    steps converge cubically: once a step is below 1e-12 t, what is left is
+    about its cube."""
     with localcontext(_T_CONTEXT):
         norm, target = _t_norm(dof), 2 * (1 - Decimal(0.975))
-        t = Decimal(math.fsum([_Z975, *(g / dof**k for k, g in enumerate(_CORNISH_FISHER, 1))]))
+        t = Decimal(_Z975)
         while True:
             density = _t_density(t, dof, norm)
             newton = (_t_tail(t, dof, density) - target) / (2 * density)
@@ -676,7 +669,7 @@ class SubsetResult:
 @dataclass(frozen=True)
 class SelectionResult:
     table: tuple[SubsetResult, ...]  # canonical order: subset size, then names
-    verdict: SubsetResult | None  # None when no subset is admissible
+    verdict: SubsetResult  # every single-variable subset, of VIF 1, is admissible
     vif_threshold: float
 
 
@@ -696,7 +689,7 @@ def select_model(
     tie resolves to fewer variables, then lexicographic names."""
     if not 1 <= len(design.variables) <= MAX_CANDIDATES:
         raise DataError(f"candidate count must be in [1, {MAX_CANDIDATES}]")
-    if vif_threshold <= 1:
+    if not vif_threshold > 1:  # NaN too
         raise DataError("vif_threshold must exceed 1")
 
     n, k = design.x.shape
@@ -738,11 +731,9 @@ def select_model(
     results.sort(key=lambda r: (len(r.variables), r.variables))
 
     admissible = [r for r in results if r.admissible]
-    verdict = None
-    if admissible:
-        best_aic = min(r.report.aic for r in admissible)
-        tied = [r for r in admissible if r.report.aic <= best_aic + AIC_TIE_BAND]
-        verdict = min(tied, key=lambda r: (len(r.variables), r.variables, r.report.aic))
+    best_aic = min(r.report.aic for r in admissible)
+    tied = [r for r in admissible if r.report.aic <= best_aic + AIC_TIE_BAND]
+    verdict = min(tied, key=lambda r: (len(r.variables), r.variables, r.report.aic))
     return SelectionResult(
         table=tuple(results), verdict=verdict, vif_threshold=vif_threshold
     )

@@ -1,11 +1,11 @@
-"""CSV/JSON parsers for routes, ports, country economics, and bilateral trade."""
+"""CSV/JSON parsers for routes, ports, country economics, and bilateral trade.
+
+Each parser reads text streams; decoding the input's bytes is the caller's."""
 
 from __future__ import annotations
 
 import csv
-import io
 import json
-from contextlib import contextmanager
 from typing import IO, Iterator
 
 from .model import (
@@ -24,34 +24,29 @@ from .model import (
 )
 
 
-@contextmanager
-def _text(stream: IO) -> Iterator[IO]:
-    """The binary `stream` as UTF-8 text, through a wrapper that is detached
-    on exit, leaving the stream open: its caller owns it."""
-    text = io.TextIOWrapper(stream, encoding="utf-8")
-    try:
-        yield text
-    finally:
-        text.detach()
-
-
-@contextmanager
-def _reader(stream: IO, required: tuple[str, ...], what: str,
-            known: tuple[str, ...] | None = None) -> Iterator[csv.DictReader]:
-    """The rows of a CSV stream whose header has every `required` column and,
-    when `known` is given, no column outside it: a file whose other columns
-    are optional would read a misspelled one as missing data."""
-    with _text(stream) as text:
-        rd = csv.DictReader(text)
-        if rd.fieldnames is None:
-            raise DataError(f"{what}: empty file, header row required")
-        missing = [c for c in required if c not in rd.fieldnames]
-        if missing:
-            raise DataError(f"{what}: missing columns {missing}")
-        unknown = [] if known is None else [c for c in rd.fieldnames if c not in known]
-        if unknown:
-            raise DataError(f"{what}: unknown columns {unknown}, expected some of {list(known)}")
-        yield rd
+def _rows(stream: IO[str], required: tuple[str, ...], what: str,
+          known: tuple[str, ...] | None = None) -> Iterator[tuple[str, dict]]:
+    """(where, row) for each row of a CSV text stream, where `where` names the
+    physical line the row ends on, so blank lines and quoted line breaks are
+    counted. The header must have every `required` column and, when `known`
+    is given, no column outside it: a file whose other columns are optional
+    would read a misspelled one as missing data. A row with more fields than
+    the header raises, since its values would land under the wrong columns."""
+    rd = csv.DictReader(stream)
+    if rd.fieldnames is None:
+        raise DataError(f"{what}: empty file, header row required")
+    missing = [c for c in required if c not in rd.fieldnames]
+    if missing:
+        raise DataError(f"{what}: missing columns {missing}")
+    unknown = [] if known is None else [c for c in rd.fieldnames if c not in known]
+    if unknown:
+        raise DataError(f"{what}: unknown columns {unknown}, expected some of {list(known)}")
+    for row in rd:
+        where = f"{what} line {rd.line_num}"
+        if None in row:  # csv files the fields beyond the header under None
+            width = len(rd.fieldnames)
+            raise DataError(f"{where}: {width + len(row[None])} fields, the header has {width}")
+        yield where, row
 
 
 def _required(row: dict, columns: tuple[str, ...], where: str) -> list[str]:
@@ -85,44 +80,41 @@ def _checked(where: str, make, *args):
         raise DataError(f"{where}: {exc}") from None
 
 
-def parse_routes(stream: IO, meta_stream: IO | None = None) -> list[ServiceRoute]:
+def parse_routes(stream: IO[str], meta_stream: IO[str] | None = None) -> list[ServiceRoute]:
     """Parse routes.csv (route_id,seq,port_id) plus optional routes_meta.csv capacities.
 
     Port calls are kept in seq order, repeats included; deduplication happens
     at graph construction.
     """
     calls: dict[str, list[tuple[int, str]]] = {}
-    lines: dict[tuple[str, int], int] = {}  # (route_id, seq) -> its line
-    with _reader(stream, ROUTE_COLUMNS, "routes") as rd:
-        for lineno, row in enumerate(rd, start=2):
-            rid = (row["route_id"] or "").strip()
-            pid = (row["port_id"] or "").strip()
-            if not rid or not pid:
-                raise DataError(f"routes line {lineno}: blank route_id or port_id")
-            try:
-                seq = int(row["seq"])
-            except (TypeError, ValueError):
-                raise DataError(f"routes line {lineno}: bad seq {row['seq']!r}") from None
-            first = lines.setdefault((rid, seq), lineno)
-            if first != lineno:
-                raise DataError(
-                    f"routes line {lineno}: route {rid!r} repeats seq {seq} of line {first}")
-            calls.setdefault(rid, []).append((seq, pid))
+    lines: dict[tuple[str, int], str] = {}  # (route_id, seq) -> where it is
+    for where, row in _rows(stream, ROUTE_COLUMNS, "routes"):
+        rid = (row["route_id"] or "").strip()
+        pid = (row["port_id"] or "").strip()
+        if not rid or not pid:
+            raise DataError(f"{where}: blank route_id or port_id")
+        try:
+            seq = int(row["seq"])
+        except (TypeError, ValueError):
+            raise DataError(f"{where}: bad seq {row['seq']!r}") from None
+        first = lines.setdefault((rid, seq), where)
+        if first != where:
+            raise DataError(f"{where}: route {rid!r} repeats seq {seq} of "
+                            f"{first.removeprefix('routes ')}")
+        calls.setdefault(rid, []).append((seq, pid))
 
     capacities: dict[str, float] = {}
     if meta_stream is not None:
-        with _reader(meta_stream, ROUTE_META_COLUMNS, "routes_meta") as mrd:
-            for lineno, row in enumerate(mrd, start=2):
-                where = f"routes_meta line {lineno}"
-                (rid,) = _required(row, ROUTE_META_COLUMNS[:1], where)
-                if rid in capacities:
-                    raise DataError(f"{where}: duplicate route_id {rid!r}")
-                cap = _opt_float(row["capacity_teu"], f"{where} capacity_teu")
-                # checked here, not by ServiceRoute, so that the error names the
-                # line, also for a route that routes.csv lacks
-                _checked(where, check_capacity, rid, cap)
-                if cap is not None:
-                    capacities[rid] = cap
+        for where, row in _rows(meta_stream, ROUTE_META_COLUMNS, "routes_meta"):
+            (rid,) = _required(row, ROUTE_META_COLUMNS[:1], where)
+            if rid in capacities:
+                raise DataError(f"{where}: duplicate route_id {rid!r}")
+            cap = _opt_float(row["capacity_teu"], f"{where} capacity_teu")
+            # checked here, not by ServiceRoute, so that the error names the
+            # line, also for a route that routes.csv lacks
+            _checked(where, check_capacity, rid, cap)
+            if cap is not None:
+                capacities[rid] = cap
 
     routes = []
     for rid in sorted(calls):
@@ -137,11 +129,10 @@ def parse_routes(stream: IO, meta_stream: IO | None = None) -> list[ServiceRoute
     return routes
 
 
-def parse_routes_json(stream: IO) -> list[ServiceRoute]:
+def parse_routes_json(stream: IO[str]) -> list[ServiceRoute]:
     """JSON alternative: array of {route_id, capacity_teu, ports: [...]}."""
     try:
-        with _text(stream) as text:
-            data = json.load(text)
+        data = json.load(stream)
     except json.JSONDecodeError as exc:
         raise DataError(f"routes json: malformed ({exc})") from None
     if not isinstance(data, list):
@@ -175,50 +166,45 @@ def parse_routes_json(stream: IO) -> list[ServiceRoute]:
     return sorted(routes, key=lambda r: r.route_id)
 
 
-def parse_ports(stream: IO) -> list[Port]:
+def parse_ports(stream: IO[str]) -> list[Port]:
     ports = []
     seen = set()
-    with _reader(stream, PORT_COLUMNS, "ports") as rd:
-        for lineno, row in enumerate(rd, start=2):
-            pid, name, country = _required(row, PORT_COLUMNS, f"ports line {lineno}")
-            if pid in seen:
-                raise DataError(f"ports line {lineno}: duplicate port_id {pid!r}")
-            seen.add(pid)
-            ports.append(_checked(f"ports line {lineno}", Port, pid, name, country))
+    for where, row in _rows(stream, PORT_COLUMNS, "ports"):
+        pid, name, country = _required(row, PORT_COLUMNS, where)
+        if pid in seen:
+            raise DataError(f"{where}: duplicate port_id {pid!r}")
+        seen.add(pid)
+        ports.append(_checked(where, Port, pid, name, country))
     return ports
 
 
-def parse_country_econ(stream: IO) -> list[CountryEcon]:
+def parse_country_econ(stream: IO[str]) -> list[CountryEcon]:
     out = []
     seen = set()
-    with _reader(stream, ECON_COLUMNS[:1], "countries", ECON_COLUMNS) as rd:
-        for lineno, row in enumerate(rd, start=2):
-            where = f"countries line {lineno}"
-            (code,) = _required(row, ECON_COLUMNS[:1], where)
-            if code in seen:
-                raise DataError(f"{where}: duplicate country_code {code!r}")
-            seen.add(code)
-            values = [_opt_float(row.get(col), f"{where} {col}") for col in ECON_COLUMNS[1:]]
-            out.append(_checked(where, CountryEcon, code, *values))
+    for where, row in _rows(stream, ECON_COLUMNS[:1], "countries", ECON_COLUMNS):
+        (code,) = _required(row, ECON_COLUMNS[:1], where)
+        if code in seen:
+            raise DataError(f"{where}: duplicate country_code {code!r}")
+        seen.add(code)
+        values = [_opt_float(row.get(col), f"{where} {col}") for col in ECON_COLUMNS[1:]]
+        out.append(_checked(where, CountryEcon, code, *values))
     return out
 
 
-def parse_bilateral(stream: IO) -> list[BilateralRecord]:
+def parse_bilateral(stream: IO[str]) -> list[BilateralRecord]:
     out = []
     seen_pairs = set()
-    with _reader(stream, BILATERAL_COLUMNS[:3], "bilateral", BILATERAL_COLUMNS) as rd:
-        for lineno, row in enumerate(rd, start=2):
-            where = f"bilateral line {lineno}"
-            ci, cj = _required(row, BILATERAL_COLUMNS[:2], where)
-            btv = _opt_float(row["btv_usd"], f"{where} btv_usd")
-            if btv is None:
-                raise DataError(f"{where}: btv_usd is required")
-            lsbci = _opt_float(row.get("lsbci"), f"{where} lsbci")
-            rec = _checked(where, BilateralRecord, ci, cj, btv, lsbci)
-            if rec.pair in seen_pairs:
-                raise DataError(f"{where}: duplicate unordered pair {rec.pair}")
-            seen_pairs.add(rec.pair)
-            out.append(rec)
+    for where, row in _rows(stream, BILATERAL_COLUMNS[:3], "bilateral", BILATERAL_COLUMNS):
+        ci, cj = _required(row, BILATERAL_COLUMNS[:2], where)
+        btv = _opt_float(row["btv_usd"], f"{where} btv_usd")
+        if btv is None:
+            raise DataError(f"{where}: btv_usd is required")
+        lsbci = _opt_float(row.get("lsbci"), f"{where} lsbci")
+        rec = _checked(where, BilateralRecord, ci, cj, btv, lsbci)
+        if rec.pair in seen_pairs:
+            raise DataError(f"{where}: duplicate unordered pair {rec.pair}")
+        seen_pairs.add(rec.pair)
+        out.append(rec)
     return out
 
 

@@ -152,7 +152,7 @@ def test_criterion_regression_recovery():
                 and rep.ci95["x2"][0] <= 0.3 <= rep.ci95["x2"][1]):
             ci_hits += 1
         sel = select_model(d, vif_threshold=5.0)
-        if sel.verdict is not None and sel.verdict.variables == ("x1", "x2"):
+        if sel.verdict.variables == ("x1", "x2"):
             select_hits += 1
     elapsed = time.monotonic() - start
     assert ci_hits >= 90

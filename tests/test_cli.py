@@ -56,6 +56,7 @@ class TestGenFixture:
         (["--n-ports", "2", "--n-countries", "2"], "3 ports"),
         (["--n-countries", "17577"], "three-letter codes"),
         (["--seed", "-1"], "seed"),  # the later --seed wins
+        (["--n-ports", "3", "--n-countries", "4"], "one port per country"),
     ])
     def test_bad_size_exits_1_with_one_error_line(self, tmp_path, capsys, flags, needle):
         out = tmp_path / "out"
@@ -89,6 +90,16 @@ class TestBuild:
         ])
         assert code == 1
         assert "cap_n1" in capsys.readouterr().err
+
+    def test_edges_quote_a_port_id_holding_a_comma(self, tmp_path):
+        (tmp_path / "routes.csv").write_text('route_id,seq,port_id\nR1,1,"P,1"\nR1,2,P2\n')
+        (tmp_path / "ports.csv").write_text('port_id,name,country_code\n"P,1",One,AAA\n'
+                                            "P2,Two,AAB\n")
+        assert run(["build", "--routes", tmp_path / "routes.csv",
+                    "--ports", tmp_path / "ports.csv", "--out", tmp_path / "out"]) == 0
+        edges = (tmp_path / "out/edges_none.csv").read_text().splitlines()
+        assert [l for l in edges if not l.startswith("#")] == [
+            "port_u,port_v,weight", '"P,1",P2,1.0']
 
     def test_empty_route_file_errors(self, tmp_path, capsys):
         empty = tmp_path / "routes.csv"
@@ -184,6 +195,21 @@ class TestRegress:
     def test_net_export_mode_runs(self, tmp_path):
         assert run(["regress", *REPORT_ARGS, "--dependent", "net_export",
                     "--out", tmp_path]) == 0
+
+    @pytest.mark.parametrize("column", [2, 3], ids=["export", "import"])
+    def test_net_export_excludes_a_country_missing_a_term(self, tmp_path, capsys, column):
+        countries = (FIXTURE / "countries.csv").read_text().splitlines(keepends=True)
+        fields = countries[1].split(",")
+        fields[column] = ""
+        countries[1] = ",".join(fields)
+        (tmp_path / "countries.csv").write_text("".join(countries))
+        args = [str(a).replace(str(FIXTURE / "countries.csv"), str(tmp_path / "countries.csv"))
+                for a in REPORT_ARGS]
+        assert run(["regress", *args, "--dependent", "net_export",
+                    "--candidates", "gc,gb", "--out", tmp_path / "out"]) == 0
+        assert "regress: 5 countries used, 1 excluded" in capsys.readouterr().err
+        scatter = (tmp_path / "out/scatter.csv").read_text()
+        assert "\nAAA," not in scatter and "\nAAB," in scatter
 
     def test_trade_change_mode_adds_tv(self, tmp_path):
         assert run(["regress", *REPORT_ARGS, "--dependent", "trade_change",
@@ -527,6 +553,12 @@ class TestRunChecks:
         assert run(["regress", *REPORT_ARGS, "--candidates", "tv", "--out", tmp_path]) == 0
         rows = (tmp_path / "regression_report.csv").read_text().splitlines()
         assert rows[-1] == "tv,1.0,-inf,1.0,1"
+
+    def test_gravity_without_bilateral_exits_1_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["gravity", *REPORT_ARGS[:-2], "--out", out]) == 1
+        assert capsys.readouterr().err == "error: --bilateral is required for gravity\n"
+        assert not out.exists()
 
     def test_routes_meta_with_json_routes_exits_1_before_any_work(self, tmp_path, capsys):
         routes = tmp_path / "routes.json"

@@ -37,6 +37,19 @@ def design(x, y, names=None, response="y"):
     return DesignMatrix(variables=names, x=x, response_name=response, y=np.asarray(y, dtype=float))
 
 
+@pytest.mark.parametrize("names, x, y, error", [
+    (("x1",), np.zeros(3), np.zeros(3), "design must be a 2-d matrix with a 1-d response"),
+    (("x1",), np.zeros((3, 1)), np.zeros(4), "row count mismatch between design and response"),
+    (("x1", "x2"), np.zeros((3, 1)), np.zeros(3), "variable name count mismatch"),
+    (("x1", "x1"), np.zeros((3, 2)), np.zeros(3), "duplicate variable names"),
+    (("x1",), np.array([[0.0], [math.nan], [1.0]]), np.zeros(3),
+     "design contains non-finite values"),
+], ids=["1-d", "rows", "names", "duplicate-name", "non-finite"])
+def test_design_matrix_guards(names, x, y, error):
+    with pytest.raises(DataError, match=f"^{error}$"):
+        DesignMatrix(variables=names, x=x, response_name="y", y=y)
+
+
 class TestStandardize:
     def test_three_point_column(self):
         d = standardize(design([1, 2, 3], [3, 2, 1]))
@@ -143,6 +156,10 @@ class TestVif:
         with pytest.raises(DataError, match="observation"):
             vif(design(np.empty((0, 2)), np.empty(0)))
 
+    def test_constant_column_errors(self):
+        with pytest.raises(DataError, match="^column 'x2' is constant$"):
+            vif(design([[1.0, 5.0], [2.0, 5.0], [4.0, 5.0]], [0, 1, 2]))
+
     def test_vif_at_least_one(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(25, 4))
@@ -161,6 +178,13 @@ class TestPearson:
     def test_constant_errors(self):
         with pytest.raises(DataError):
             pearson_r(np.ones(5), np.arange(5.0))
+
+    @pytest.mark.parametrize("x, y", [(np.arange(2.0), np.arange(2.0)),
+                                      (np.arange(4.0), np.arange(5.0))])
+    def test_short_or_unequal_vectors_error(self, x, y):
+        with pytest.raises(DataError,
+                           match="^pearson needs two equal-length vectors of length >= 3$"):
+            pearson_r(x, y)
 
     def test_independent_samples_near_zero(self):
         small = 0
@@ -269,7 +293,6 @@ class TestSelectModel:
         x2 = np.column_stack([x, x + rng.normal(0, 1e-3, 40)])
         sel = select_model(design(x2, x + 1), vif_threshold=5.0)
         assert len(sel.table) == 3
-        assert sel.verdict is not None
         assert len(sel.verdict.variables) == 1
 
     def test_planted_single_variable_recovered(self):
@@ -279,7 +302,7 @@ class TestSelectModel:
             x = rng.normal(size=(300, 3))
             y = x[:, 0] + rng.normal(0, 0.05, 300)
             sel = select_model(design(x, y), vif_threshold=5.0)
-            if sel.verdict is not None and sel.verdict.variables == ("x1",):
+            if sel.verdict.variables == ("x1",):
                 hits += 1
         assert hits >= 90
 
@@ -342,6 +365,19 @@ class TestSelectModel:
         # sizes 1 and 2 fit; size 3 is the first with no residual degree of freedom
         with pytest.raises(DataError, match="^need more than 4 observations, got 4$"):
             select_model(design(x, rng.normal(size=4)))
+
+    @pytest.mark.parametrize("k", [0, econometrics.MAX_CANDIDATES + 1])
+    def test_candidate_count_out_of_range_error(self, k):
+        d = design(np.ones((30, k)), np.arange(30.0))
+        with pytest.raises(DataError, match=r"^candidate count must be in \[1, 20\]$"):
+            select_model(d)
+
+    @pytest.mark.parametrize("threshold", [1.0, 0.5, -math.inf, math.nan])
+    def test_threshold_not_above_one_error(self, threshold):
+        rng = np.random.default_rng(13)
+        d = design(rng.normal(size=(20, 2)), rng.normal(size=20))
+        with pytest.raises(DataError, match="^vif_threshold must exceed 1$"):
+            select_model(d, threshold)
 
     def test_collinear_small_subset_reported_before_too_few_observations(self):
         rng = np.random.default_rng(12)

@@ -46,6 +46,15 @@ def test_route_edge_weight_missing_capacity():
         route_edge_weight(3, None, WeightScheme.CAP_N1)
 
 
+@pytest.mark.parametrize("calls, error", [
+    (("A", "A"), "route 'R1': fewer than 2 distinct ports"),
+    (("A", "Z"), "route 'R1': unknown port 'Z'"),
+])
+def test_unvalidated_route_error(calls, error):
+    with pytest.raises(DataError, match=f"^{error}$"):
+        build_glsn([ServiceRoute("R1", calls)], PORTS, WeightScheme.UNWEIGHTED)
+
+
 def test_single_route_induces_clique():
     g = build_glsn([ServiceRoute("R1", ("A", "B", "C"))], PORTS, WeightScheme.UNWEIGHTED)
     assert set(g.edges) == {("A", "B"), ("A", "C"), ("B", "C")}

@@ -48,8 +48,13 @@ class TestGreatCircle:
             assert ac <= ab + bc + 1e-6
 
     def test_out_of_range(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^latitude out of range: 91$"):
             great_circle_km(91, 0, 0, 0)
+
+    @pytest.mark.parametrize("lon", [181, -180.5])
+    def test_longitude_out_of_range(self, lon):
+        with pytest.raises(DataError, match=f"^longitude out of range: {lon}$"):
+            great_circle_km(0, 0, 0, lon)
 
 
 def _world():
@@ -104,6 +109,22 @@ class TestAssemblePairs:
         out = assemble_pairs(shared_pairs(econ, bilateral, g, {}, {}), GravityVariant.BASE)
         assert out.excluded.get("missing_capital") == 1
 
+    @pytest.mark.parametrize("gdp", [None, 0.0])
+    def test_missing_or_zero_gdp_excluded(self, gdp):
+        # ZZZ's only connected pair is YYY-ZZZ
+        g, econ, bilateral = _world()
+        econ[2] = replace(econ[2], gdp_usd=gdp)
+        out = shared_pairs(econ, bilateral, g, {}, {})
+        assert [(s.country_i, s.country_j) for s in out.samples] == [("XXX", "YYY")]
+        assert out.excluded == {"missing_gdp": 1, "not_directly_connected": 1}
+
+    def test_shared_capital_is_zero_distance(self):
+        g, econ, bilateral = _world()
+        econ[2] = replace(econ[2], capital_lat=10, capital_lon=10)  # YYY's capital
+        out = shared_pairs(econ, bilateral, g, {}, {})
+        assert [(s.country_i, s.country_j) for s in out.samples] == [("XXX", "YYY")]
+        assert out.excluded == {"zero_distance": 1, "not_directly_connected": 1}
+
     @pytest.mark.parametrize("variant, reason", [
         (GravityVariant.LSBCI_GB, "nonpositive_gb"),
         (GravityVariant.LSBCI_GC, "nonpositive_gc"),
@@ -151,6 +172,14 @@ def synth_samples(rng, n, truth=(1.0, 0.8, -1.1), noise_sd=0.0):
 
 
 class TestFitGravity:
+    @pytest.mark.parametrize("variant", [GravityVariant.BASE, GravityVariant.LSBCI_GB])
+    def test_too_few_pairs_error(self, variant):
+        # as many pairs as parameters, intercept included, leave no residual
+        # degree of freedom
+        samples = synth_samples(np.random.default_rng(0), len(variant.variable_names()) + 1)
+        with pytest.raises(DataError, match="^too few pairs to fit the gravity model$"):
+            fit_gravity(samples, variant)
+
     def test_noiseless_identification(self):
         rng = np.random.default_rng(0)
         samples = synth_samples(rng, 100)
@@ -278,6 +307,11 @@ class TestCoverageFilter:
             [CountryEcon("XXX")], self._bilateral(100)
         )
         assert excluded["XXX"] == "no_total_trade_value"
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, math.nan])
+    def test_threshold_outside_unit_interval_error(self, threshold):
+        with pytest.raises(DataError, match=r"^coverage threshold must be in \(0, 1\]$"):
+            coverage_filter(self._econ(100), self._bilateral(95), threshold)
 
     def test_monotone_in_threshold(self):
         econ = [

@@ -215,6 +215,13 @@ class TestGlsnBetweennessExact:
             assert glsn_betweenness_exact(g, (l,)) == {l: literal[l]}, l
         assert glsn_betweenness_exact(g, L_VALUES) == literal
 
+    @pytest.mark.parametrize("caps", [(0,), (), (2, -1)])
+    def test_no_cap_or_a_non_positive_one_error(self, chain_graph, caps):
+        with pytest.raises(DataError, match="^l_values must be positive$"):
+            glsn_betweenness_exact(chain_graph, caps)
+        with pytest.raises(DataError, match="^l_values must be positive$"):
+            build_index_table(chain_graph, chain_graph, caps)
+
 
 def _two_components_and_isolated(seed):
     """Disjoint union of two random graphs plus an isolated port of its own country."""
@@ -846,7 +853,8 @@ class TestGbPruning:
 def _golden_graph():
     """The structure graph that `report` builds from the golden fixture."""
     fixture = Path(__file__).parent / "data" / "fixture"
-    with open(fixture / "routes.csv", "rb") as routes, open(fixture / "ports.csv", "rb") as f:
+    with (open(fixture / "routes.csv", encoding="utf-8") as routes,
+          open(fixture / "ports.csv", encoding="utf-8") as f):
         routes, ports = parse_routes(routes), parse_ports(f)
     return build_glsn(validate_dataset(routes, ports).retained, ports, WeightScheme.UNWEIGHTED)
 

@@ -1,8 +1,12 @@
+import ast
 import io
 import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import glsn
 from glsn import dataset_io
 from glsn.ingest import (
     parse_bilateral,
@@ -14,9 +18,11 @@ from glsn.ingest import (
 )
 from glsn.model import BilateralRecord, CountryEcon, DataError, Port, ServiceRoute
 
+from test_float_sums import _Scoped
 
-def s(text: str) -> io.BytesIO:
-    return io.BytesIO(text.encode())
+
+def s(text: str) -> io.StringIO:
+    return io.StringIO(text)
 
 
 ROUTES = "route_id,seq,port_id\nR1,1,A\nR1,2,B\nR1,3,C\n"
@@ -242,6 +248,18 @@ def test_bilateral_record_refuses_non_finite_lsbci(value):
         BilateralRecord("X", "Y", 1.0, lsbci=value)
 
 
+@pytest.mark.parametrize("make, error", [
+    (lambda: Port("", "x", "XXA"), "port_id must be non-empty"),
+    (lambda: CountryEcon("XXA", capital_lat=90.5), "country 'XXA': latitude out of range"),
+    (lambda: CountryEcon("XXA", capital_lon=-181.0), "country 'XXA': longitude out of range"),
+    (lambda: BilateralRecord("X", "X", 1.0), "bilateral record 'X': countries must differ"),
+    (lambda: BilateralRecord("X", "Y", -1.0), "bilateral pair (X, Y): negative trade value"),
+], ids=["empty-port-id", "latitude", "longitude", "same-countries", "negative-trade"])
+def test_record_value_rules(make, error):
+    with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
+        make()
+
+
 def _ports():
     return [Port("A", "a", "XXA"), Port("B", "b", "XXB"), Port("C", "c", "XXA")]
 
@@ -330,3 +348,106 @@ def test_roundtrip_full_dataset():
     assert parse_ports(s(dataset_io.ports_csv(ports))) == ports
     assert parse_country_econ(s(dataset_io.countries_csv(econ))) == econ
     assert parse_bilateral(s(dataset_io.bilateral_csv(bilateral))) == bilateral
+
+
+def test_roundtrip_quotes_a_comma_a_quote_and_a_line_break():
+    ports = [Port("P,1", 'The "One"', "XXA"), Port("P2", "Two\nlines", "XXB")]
+    assert parse_ports(s(dataset_io.ports_csv(ports))) == ports
+    routes = [ServiceRoute("R,1", ("P,1", "P2"), 5.0)]
+    again = parse_routes(
+        s(dataset_io.routes_csv(routes)), s(dataset_io.routes_meta_csv(routes))
+    )
+    assert again == routes
+
+
+# each CSV file: its parser, header, two good rows, and a bad row with its error
+CSV_FILES = {
+    "routes": (parse_routes, "route_id,seq,port_id", "R1,1,A", "R1,2,B", "R1,x,C",
+               "bad seq 'x'"),
+    "routes_meta": (lambda f: parse_routes(s(ROUTES), f), "route_id,capacity_teu",
+                    "R1,600", "R2,700", "R3,-5", "route 'R3': negative capacity -5.0"),
+    "ports": (parse_ports, "port_id,name,country_code", "P1,One,XXA", "P2,Two,XXB",
+              "P3,Three,", "port 'P3': country_code must be non-empty"),
+    "countries": (parse_country_econ, "country_code,capital_lat", "XXA,1", "XXB,2",
+                  "XXC,91", "country 'XXC': latitude out of range"),
+    "bilateral": (parse_bilateral, "country_i,country_j,btv_usd", "X,Y,1", "X,Z,2",
+                  "Y,Y,3", "bilateral record 'Y': countries must differ"),
+}
+
+
+@pytest.mark.parametrize("gap", ["blank line", "quoted line break"])
+@pytest.mark.parametrize("name", CSV_FILES)
+def test_error_names_the_physical_line(name, gap):
+    # the bad row follows a blank line (line 3), or the second good row with
+    # a line break in its quoted last field (lines 3 and 4)
+    parse, header, first, second, bad, error = CSV_FILES[name]
+    head, _, last = second.rpartition(",")
+    middle, line = ("", 4) if gap == "blank line" else (f'{head},"{last}\n"', 5)
+    with pytest.raises(DataError, match=f"^{name} line {line}: {re.escape(error)}$"):
+        parse(s(f"{header}\n{first}\n{middle}\n{bad}\n"))
+
+
+@pytest.mark.parametrize("extra", [",1", ","], ids=["field", "trailing-comma"])
+@pytest.mark.parametrize("name", CSV_FILES)
+def test_row_longer_than_its_header_raises(name, extra):
+    # csv would file the extra field under None and the row would parse
+    parse, header, first, *_ = CSV_FILES[name]
+    width = header.count(",") + 1
+    with pytest.raises(DataError,
+                       match=f"^{name} line 3: {width + 1} fields, the header has {width}$"):
+        parse(s(f"{header}\n{first}\n{first}{extra}\n"))
+
+
+def test_field_with_an_unquoted_comma_is_not_read_as_the_next_column():
+    with pytest.raises(DataError, match="^ports line 2: 4 fields, the header has 3$"):
+        parse_ports(s("port_id,name,country_code\nP1,Port, Inc,AAA\n"))
+
+
+@pytest.mark.parametrize("name", CSV_FILES)
+def test_empty_file_raises(name):
+    with pytest.raises(DataError, match=f"^{name}: empty file, header row required$"):
+        CSV_FILES[name][0](s(""))
+
+
+@pytest.mark.parametrize("text, error", [
+    ('{"route_id": "R1", "ports": ["A", "B"]}', "routes json: top level must be an array"),
+    ('[{"route_id": "R1"}]', "routes json entry 0: missing 'ports'"),
+    ('[{"route_id": "R1", "ports": ["A", "B"]}, {"route_id": "R1", "ports": ["B", "C"]}]',
+     "routes json: duplicate route_id 'R1'"),
+], ids=["not-an-array", "missing-key", "duplicate-route"])
+def test_parse_routes_json_structure(text, error):
+    with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
+        parse_routes_json(s(text))
+
+
+def test_only_rows_reads_csv():
+    # every CSV row passes through ingest._rows, which numbers it by its
+    # physical line and checks its width; every use of a csv reader counts
+    found = Counter()
+    for path in sorted(Path(glsn.__file__).parent.glob("*.py")):
+        uses = _CsvReaderUses(path)
+        uses.visit(ast.parse(path.read_text(), str(path)))
+        found += uses.found
+    assert dict(found) == {("ingest.py", "_rows"): 1}
+
+
+_CSV_READERS = {"reader", "DictReader", "*"}
+
+
+class _CsvReaderUses(_Scoped):
+    """Counts the uses of csv.reader and csv.DictReader, and their imports
+    from csv, by file and innermost function."""
+
+    def __init__(self, path: Path):
+        super().__init__()
+        self.path = path
+
+    def visit_Attribute(self, node):
+        if (isinstance(node.value, ast.Name) and node.value.id == "csv"
+                and node.attr in _CSV_READERS):
+            self.found[(self.path.name, self.where[-1])] += 1
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if node.module == "csv" and any(a.name in _CSV_READERS for a in node.names):
+            self.found[(self.path.name, self.where[-1])] += 1
