@@ -14,6 +14,7 @@ from .model import (
     ROUTE_META_COLUMNS,
     BilateralRecord,
     CountryEcon,
+    DataError,
     Port,
     ServiceRoute,
 )
@@ -32,12 +33,19 @@ def fmt(v) -> str:
 def csv_text(columns: Sequence[str], rows) -> str:
     """The header and rows as CSV, each line ended by "\n". A field that
     holds a comma, a quote or a line feed is quoted, so the parsers read it
-    back whole."""
+    back whole. A field that holds a carriage return raises DataError: csv
+    quotes it on some Python versions only, and the parsers' universal
+    newlines would read it as a line break."""
+    table = [columns, *(list(map(fmt, row)) for row in rows)]
     buf = io.StringIO()
-    out = csv.writer(buf, lineterminator="\n")
-    out.writerow(columns)
-    out.writerows(map(fmt, row) for row in rows)
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerows(table)
+    text = buf.getvalue()
+    if "\r" in text:
+        line, j = next((i, j) for i, fields in enumerate(table, 1)
+                       for j, field in enumerate(fields) if "\r" in field)
+        raise DataError(f"line {line} column {columns[j]!r}: cannot write the carriage return "
+                        f"in {table[line - 1][j]!r}")
+    return text
 
 
 def routes_csv(routes: list[ServiceRoute]) -> str:

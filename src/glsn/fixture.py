@@ -76,7 +76,7 @@ def generate(
     for r in range(n_routes):
         while True:
             k = int(rng.integers(3, min(7, n_ports) + 1))
-            chosen = list(rng.choice(port_ids, size=k, replace=False))
+            chosen = [port_ids[i] for i in rng.choice(n_ports, size=k, replace=False)]
             if len({country_of[p] for p in chosen}) >= 2:
                 break
         cap = float(np.round(rng.uniform(500, 5000), 1))

@@ -36,9 +36,11 @@ def worker_count() -> int:
 
 def workers(batches: int) -> int:
     """Processes for a job of `batches` whole batches, each pass counting
-    them by its own element budget: one per CPU of the mask, but at most one
-    per batch and at least one. So a job of fewer than two batches runs in
-    the calling process, where a fork costs more than it saves."""
+    the work it can do in units of its own element budget (the gb/fb pass:
+    states and edge slots, `indices._work`; the subset walk: stacked fit
+    elements): one per CPU of the mask, but at most one per batch and at
+    least one. So a job of fewer than two batches runs in the calling
+    process, where a fork costs more than it saves."""
     return max(1, min(worker_count(), batches))
 
 

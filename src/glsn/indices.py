@@ -41,12 +41,18 @@ and port, never a dep row per source.
 
 Each source's traversal is independent, so the sources are interleaved over
 forked worker processes through `fork.run_parts` (Bader & Madduri, ICPP
-2006): one per CPU, but at most one per whole batch (`fork.workers`), so a
-graph of fewer than two batches stays in one process. A worker sends back
-its gb keys and sums and, with fb, its limb sums. The blocks merge exactly:
-the gb counts are summed once as integers, and fb's limbs are summed as
-integers and each port's exact sum rounded once, as math.fsum rounds, so
-any worker count and any batch size give the same bits.
+2006): one per CPU, but at most one per whole batch of work
+(`fork.workers`), so a pass of under two batches stays in one process. The
+work is what the pass can touch, in a batch's units (`_work`): per source
+its n states and the edge slots its BFS expands, all E for fb, at most
+min(E, sum over k < cap of (A**k degree)(s)) for gb alone. So fb's pass
+counts n // size batches, and gb alone at L = 2 on the 300-port fixtures,
+under one batch, stays in one process, while the table there and gb at
+L = 2 on a 1,000-port fixture fork. A worker sends back its gb keys and
+sums and, with fb, its limb sums. The blocks merge exactly: the gb counts
+are summed once as integers, and fb's limbs are summed as integers and
+each port's exact sum rounded once, as math.fsum rounds, so any worker
+count and any batch size give the same bits.
 """
 
 from __future__ import annotations
@@ -446,23 +452,46 @@ def _block(
     return keys, sums, limbs
 
 
+def _work(a: _Arrays, cap: int | None) -> int:
+    """The elements a pass over all sources can touch, in the units of a
+    batch's budget: per source, its n states and the edge slots its BFS
+    expands. fb's BFS (cap None) covers the whole component, so n + E per
+    source, E the directed edges. gb alone stops at `cap`: the ports at
+    distance k from s are ends of walks of length k, so s expands at most
+    min(E, sum over k < cap of (A**k degree)(s)) slots, A the adjacency
+    matrix, which is exact at caps 1 and 2. Each product is clamped at E,
+    which leaves that minimum as it is and keeps the sums in int64."""
+    n, e = len(a.ports), a.indices.size
+    if cap is None:
+        return n * (n + e)
+    step = a.degree.astype(np.int64)
+    total = step.copy()
+    walks = np.zeros(e + 1, np.int64)
+    for _ in range(cap - 1):
+        np.cumsum(step[a.indices], out=walks[1:])
+        step = np.minimum(walks[a.start + a.degree] - walks[a.start], e)
+        total += step
+    return n * n + int(np.minimum(total, e).sum())
+
+
 def _betweenness(
     g: Glsn, l_values: tuple[int, ...], fb: bool
 ) -> tuple[dict[int, dict[str, Fraction]], dict[str, float] | None]:
     """Exact gb per cap in l_values and, with fb, port betweenness (else None).
 
-    The sources are interleaved over `fork.workers` of the whole batches,
-    worker i taking sources i, i + workers, ...; the blocks' counts are
-    summed once, when all have arrived. A cap's total sums delta/n_st
+    The sources are interleaved over `fork.workers` of the whole batches of
+    `_work`, worker i taking sources i, i + workers, ...; the blocks'
+    counts are summed once, when all have arrived. A cap's total sums delta/n_st
     exactly over the keys within it, as integers over the lcm of all n_st:
     one Fraction per country and cap. fb adds the blocks' limb sums as
     integers and rounds each port's exact sum once.
     """
     a = _Arrays.of(g)
     n = len(a.ports)
-    size = max(1, _BATCH_ELEMENTS // max(1, n + len(a.indices)))
-    workers = fork.workers(n // size)
+    elements = max(1, n + len(a.indices))
+    size = max(1, _BATCH_ELEMENTS // elements)
     depth_cap = max(l_values, default=0)
+    workers = fork.workers(_work(a, None if fb else depth_cap) // (size * elements))
     parts = fork.run_parts(lambda sources: _block(a, sources, depth_cap, fb, size),
                            [range(i, n, workers) for i in range(workers)])
 

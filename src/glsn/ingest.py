@@ -5,6 +5,7 @@ Each parser reads text streams; decoding the input's bytes is the caller's."""
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from typing import IO, Iterator
 
@@ -31,8 +32,12 @@ def _rows(stream: IO[str], required: tuple[str, ...], what: str,
     counted. The header must have every `required` column and, when `known`
     is given, no column outside it: a file whose other columns are optional
     would read a misspelled one as missing data. A row with more fields than
-    the header raises, since its values would land under the wrong columns."""
-    rd = csv.DictReader(stream)
+    the header raises, since its values would land under the wrong columns.
+    A byte-order mark (U+FEFF) that starts the text, as some editors save
+    UTF-8, is dropped."""
+    lines = iter(stream)
+    head = next(lines, "").removeprefix("\ufeff")
+    rd = csv.DictReader(itertools.chain([head] if head else [], lines))
     if rd.fieldnames is None:
         raise DataError(f"{what}: empty file, header row required")
     missing = [c for c in required if c not in rd.fieldnames]

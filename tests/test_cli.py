@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import glsn.fork
+from glsn import dataset_io
 from glsn.cli import CANDIDATES, main
+from glsn.fixture import generate
 from glsn.indices import country_connectivity, glsn_betweenness_exact
 
 from conftest import fork_both_passes, make_glsn, part_counts
@@ -66,6 +68,20 @@ class TestGenFixture:
         assert needle in err
         assert not out.exists()
 
+    def test_seed_55_at_300_ports_keeps_its_routes(self):
+        # the files that no float of numpy's exp and log reaches, so that
+        # any CPU gives them; every port id a str, not a numpy one
+        ds = generate(55, n_ports=300, n_routes=100, n_countries=30)
+        for text, digest in [
+            (dataset_io.routes_csv(ds.routes),
+             "578f06b429917bb61031dc7d011027aaa5670ddecb09b55253f5f2262c50f7dd"),
+            (dataset_io.routes_meta_csv(ds.routes),
+             "2f66ed0fe8ae9ae70a0d2fbe719dc0f731475c48d91d3e2c70e53a76c9d39b1b"),
+        ]:
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
+        ids = [p.port_id for p in ds.ports] + [p for r in ds.routes for p in r.port_calls]
+        assert {type(p) for p in ids} == {str}
+
     def test_two_ports_and_no_routes(self, tmp_path):
         assert run(["gen-fixture", "--seed", "1", "--n-ports", "2", "--n-countries", "2",
                     "--n-routes", "0", "--out", tmp_path]) == 0
@@ -100,6 +116,13 @@ class TestBuild:
         edges = (tmp_path / "out/edges_none.csv").read_text().splitlines()
         assert [l for l in edges if not l.startswith("#")] == [
             "port_u,port_v,weight", '"P,1",P2,1.0']
+
+    def test_inputs_saved_with_a_byte_order_mark(self, tmp_path):
+        for name in ("routes.csv", "ports.csv"):
+            (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + (FIXTURE / name).read_bytes())
+        assert run(["build", "--routes", tmp_path / "routes.csv",
+                    "--ports", tmp_path / "ports.csv", "--out", tmp_path / "out"]) == 0
+        assert '"node_count": 30' in (tmp_path / "out/stats.json").read_text()
 
     def test_empty_route_file_errors(self, tmp_path, capsys):
         empty = tmp_path / "routes.csv"

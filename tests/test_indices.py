@@ -331,7 +331,7 @@ def _union(parts):
     )
 
 
-class TestIntView:
+class TestArrays:
     """The kernel's integer arrays (`_Arrays`) number ports and countries in
     sorted order; the indices must not depend on that numbering, however
     many countries there are and in whatever order the graph lists them."""
@@ -859,6 +859,7 @@ def _golden_graph():
     return build_glsn(validate_dataset(routes, ports).retained, ports, WeightScheme.UNWEIGHTED)
 
 
+@functools.cache
 def _fixture_graph(seed, n_ports, n_routes, n_countries):
     ds = generate(seed=seed, n_ports=n_ports, n_routes=n_routes, n_countries=n_countries)
     return build_glsn(ds.routes, ds.ports, WeightScheme.UNWEIGHTED)
@@ -972,6 +973,52 @@ class TestForkedPass:
         monkeypatch.setattr(glsn.fork, "worker_count", lambda: 2)
         build_index_table(seed55, seed55)
         assert counts == [1, 2]
+
+
+class TestWork:
+    """A pass forks by the work it can do (`_work`), in batches of the
+    budget: fb's BFS covers the whole component, while gb alone expands
+    only the edge slots within its cap."""
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5, None])
+    @pytest.mark.parametrize("graph", [
+        "golden", (55, 300, 100, 30), (11, 1000, 300, 60)], ids=str)
+    def test_work_bounds_the_slots_expanded(self, monkeypatch, graph, cap):
+        # n states per source, and at least the slots `_new_edges` expands:
+        # as many at caps 1 and 2, where no port is reached by two walks,
+        # and never more than the whole component's E per source
+        g = _golden_graph() if graph == "golden" else _fixture_graph(*graph)
+        a = glsn.indices._Arrays.of(g)
+        n = len(a.ports)
+        expanded = []
+        new_edges = glsn.indices._new_edges
+
+        def counted(a, front, unseen):
+            expanded.append(int(a.degree[front % n].sum()))
+            return new_edges(a, front, unseen)
+
+        monkeypatch.setattr(glsn.fork, "worker_count", lambda: 1)
+        monkeypatch.setattr(glsn.indices, "_new_edges", counted)
+        if cap is None:
+            port_betweenness(g)
+        else:
+            glsn_betweenness_exact(g, (cap,))
+        slots = glsn.indices._work(a, cap) - n * n
+        assert n * len(a.indices) >= slots >= sum(expanded) > 0
+        if cap in (1, 2):
+            assert slots == sum(expanded)
+
+    def test_gb_at_two_forks_by_the_edges_it_reaches(self, monkeypatch):
+        # fixture.generate's gb at L = 2 on the seed-55 300-port fixture
+        # reaches under one batch of work, while the table on it, and gb at
+        # L = 2 on a 1,000-port fixture, hold two batches or more
+        seed55, g1000 = _seed55_graph(), _fixture_graph(11, 1000, 300, 60)
+        counts = part_counts(monkeypatch)
+        monkeypatch.setattr(glsn.fork, "worker_count", lambda: 2)
+        glsn_betweenness_exact(seed55, (2,))
+        build_index_table(seed55, seed55)
+        glsn_betweenness_exact(g1000, (2,))
+        assert counts == [1, 2, 2]
 
 
 def _traced_peak(run, g):

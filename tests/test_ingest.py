@@ -360,6 +360,15 @@ def test_roundtrip_quotes_a_comma_a_quote_and_a_line_break():
     assert again == routes
 
 
+def test_carriage_return_in_a_field_is_refused():
+    # csv.writer quotes a bare \r on some Python versions only, and the
+    # parsers' universal newlines would read it as a line break
+    ports = [Port("P1", "One", "XXA"), Port("P2", "Two\rlines", "XXB")]
+    with pytest.raises(DataError, match=re.escape(
+            r"line 3 column 'name': cannot write the carriage return in 'Two\rlines'")):
+        dataset_io.ports_csv(ports)
+
+
 # each CSV file: its parser, header, two good rows, and a bad row with its error
 CSV_FILES = {
     "routes": (parse_routes, "route_id,seq,port_id", "R1,1,A", "R1,2,B", "R1,x,C",
@@ -401,6 +410,16 @@ def test_row_longer_than_its_header_raises(name, extra):
 def test_field_with_an_unquoted_comma_is_not_read_as_the_next_column():
     with pytest.raises(DataError, match="^ports line 2: 4 fields, the header has 3$"):
         parse_ports(s("port_id,name,country_code\nP1,Port, Inc,AAA\n"))
+
+
+@pytest.mark.parametrize("name", CSV_FILES)
+def test_leading_byte_order_mark_is_dropped(name):
+    # as some editors save UTF-8: the mark would open the first column's name
+    parse, header, first, second, bad, error = CSV_FILES[name]
+    text = f"{header}\n{first}\n{second}\n"
+    assert parse(s("\ufeff" + text)) == parse(s(text))
+    with pytest.raises(DataError, match=f"^{name} line 4: {re.escape(error)}$"):
+        parse(s(f"\ufeff{text}{bad}\n"))
 
 
 @pytest.mark.parametrize("name", CSV_FILES)
