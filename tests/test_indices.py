@@ -331,7 +331,7 @@ def _union(parts):
     )
 
 
-class TestArrays:
+class TestIntView:
     """The kernel's integer arrays (`_Arrays`) number ports and countries in
     sorted order; the indices must not depend on that numbering, however
     many countries there are and in whatever order the graph lists them."""
