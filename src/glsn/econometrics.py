@@ -533,21 +533,19 @@ class _Walk:
             node = self.extend(node, 0)
         return node
 
-    def subtree(self, node: _Node, max_size: int, lo: int = 0, hi: float = math.inf):
-        """The descendants of node with at most max_size columns that are
-        numbered lo to hi - 1 in depth-first order, counting from 0. A child
-        whose whole subtree lies outside that range is not extended."""
-        free = max_size - len(node.cols) - 1  # room below each child
+    def subtree(self, node: _Node, lo: int = 0, hi: float = math.inf):
+        """The descendants of node numbered lo to hi - 1 in depth-first order,
+        counting from 0. A child whose whole subtree lies outside that range
+        is not extended."""
         for at in range(len(node.pending)):
             if hi <= 0:
                 return
-            size = _subtree_size(len(node.pending) - at - 1, free)
+            size = 1 << (len(node.pending) - at - 1)  # the child and its subsets
             if lo < size:
                 child = self.extend(node, at)
                 if lo <= 0:
                     yield child
-                if free > 0:
-                    yield from self.subtree(child, max_size, lo - 1, hi - 1)
+                yield from self.subtree(child, lo - 1, hi - 1)
             lo, hi = lo - size, hi - size
 
     def _rss(self, cols: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray) -> list[float]:
@@ -673,61 +671,48 @@ class SelectionResult:
     vif_threshold: float
 
 
-@functools.cache
-def _subtree_size(pending: int, free: int) -> int:
-    """Subsets in the subtree of a walk node, the node included, when it has
-    `pending` later candidates and room for `free` more columns. Cached: a
-    range of the walk asks for it once per child it passes."""
-    return sum(math.comb(pending, j) for j in range(min(pending, free) + 1))
-
-
 def select_model(
     design: DesignMatrix, vif_threshold: float = 5.0
 ) -> SelectionResult:
     """Fit every nonempty candidate subset; verdict = admissible model with
     minimal AIC, where models within AIC_TIE_BAND of the minimum tie and the
-    tie resolves to fewer variables, then lexicographic names."""
+    tie resolves to fewer variables, then lexicographic names.
+
+    The design needs more than k + 1 observations for k candidates, so that
+    the full model leaves a residual degree of freedom; this is checked
+    before any fit."""
     if not 1 <= len(design.variables) <= MAX_CANDIDATES:
         raise DataError(f"candidate count must be in [1, {MAX_CANDIDATES}]")
     if not vif_threshold > 1:  # NaN too
         raise DataError("vif_threshold must exceed 1")
 
     n, k = design.x.shape
-    # Subsets of first_unfit or more columns leave no residual degree of
-    # freedom. Every smaller subset is fitted before the shortage is reported,
-    # as canonical order meets them, so a collinear smaller subset wins.
-    first_unfit = max(1, n - 1)
-    results = []
-    if first_unfit > 1:
-        walk = _Walk(design)
-        root = walk.root(sorted(range(k), key=design.variables.__getitem__))
-        max_size = min(k, first_unfit - 1)
-        fits = _subtree_size(k, max_size) - 1  # the root is the empty subset
-        # whole batches: every fit's stacked elements, m * C(k, m) * n summed
-        # over the sizes m, over the budget; a batch holds one fit at least
-        w = fork.workers(min(fits, n * k * _subtree_size(k - 1, max_size - 1)
-                             // _FIT_BATCH_ELEMENTS))
+    _check_dof(n, k + 1)
+    walk = _Walk(design)
+    root = walk.root(sorted(range(k), key=design.variables.__getitem__))
+    fits = (1 << k) - 1  # the root is the empty subset
+    # whole batches: every fit's stacked elements, m * C(k, m) * n summed
+    # over the sizes m, over the budget; a batch holds one fit at least
+    w = fork.workers(min(fits, (n * k << (k - 1)) // _FIT_BATCH_ELEMENTS))
 
-        def fit_range(part):
-            reports, batches = [], {}
-            for node in walk.subtree(root, max_size, *part):
-                m = len(node.cols)
-                batch = batches.setdefault(m, [])
-                batch.append(node._replace(pending=()))  # a fit needs no later candidate
-                if len(batch) * m * n >= _FIT_BATCH_ELEMENTS:
-                    reports += walk.reports(batch)
-                    batch.clear()
-            for batch in batches.values():
-                if batch:
-                    reports += walk.reports(batch)
-            return reports
+    def fit_range(part):
+        reports, batches = [], {}
+        for node in walk.subtree(root, *part):
+            m = len(node.cols)
+            batch = batches.setdefault(m, [])
+            batch.append(node._replace(pending=()))  # a fit needs no later candidate
+            if len(batch) * m * n >= _FIT_BATCH_ELEMENTS:
+                reports += walk.reports(batch)
+                batch.clear()
+        for batch in batches.values():
+            if batch:
+                reports += walk.reports(batch)
+        return reports
 
-        parts = fork.run_parts(fit_range, [(fits * i // w, fits * (i + 1) // w) for i in range(w)])
-        results = [SubsetResult(variables=r.variables, report=r,
-                                admissible=r.max_vif < vif_threshold)
-                   for reports in parts for r in reports]
-    if k >= first_unfit:
-        _check_dof(n, first_unfit + 1)
+    parts = fork.run_parts(fit_range, [(fits * i // w, fits * (i + 1) // w) for i in range(w)])
+    results = [SubsetResult(variables=r.variables, report=r,
+                            admissible=r.max_vif < vif_threshold)
+               for reports in parts for r in reports]
     results.sort(key=lambda r: (len(r.variables), r.variables))
 
     admissible = [r for r in results if r.admissible]

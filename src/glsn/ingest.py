@@ -94,14 +94,17 @@ def parse_routes(stream: IO[str], meta_stream: IO[str] | None = None) -> list[Se
     calls: dict[str, list[tuple[int, str]]] = {}
     lines: dict[tuple[str, int], str] = {}  # (route_id, seq) -> where it is
     for where, row in _rows(stream, ROUTE_COLUMNS, "routes"):
-        rid = (row["route_id"] or "").strip()
-        pid = (row["port_id"] or "").strip()
+        rid, seq, pid = row["route_id"], row["seq"], row["port_id"]
+        if rid is None or seq is None or pid is None:  # a short row: raises
+            _required(row, ROUTE_COLUMNS, where)
+        rid = rid.strip()
+        pid = pid.strip()
         if not rid or not pid:
             raise DataError(f"{where}: blank route_id or port_id")
         try:
-            seq = int(row["seq"])
-        except (TypeError, ValueError):
-            raise DataError(f"{where}: bad seq {row['seq']!r}") from None
+            seq = int(seq)
+        except ValueError:
+            raise DataError(f"{where}: bad seq {seq!r}") from None
         first = lines.setdefault((rid, seq), where)
         if first != where:
             raise DataError(f"{where}: route {rid!r} repeats seq {seq} of "
@@ -135,9 +138,10 @@ def parse_routes(stream: IO[str], meta_stream: IO[str] | None = None) -> list[Se
 
 
 def parse_routes_json(stream: IO[str]) -> list[ServiceRoute]:
-    """JSON alternative: array of {route_id, capacity_teu, ports: [...]}."""
+    """JSON alternative: array of {route_id, capacity_teu, ports: [...]}.
+    A byte-order mark that starts the text is dropped, as `_rows` drops it."""
     try:
-        data = json.load(stream)
+        data = json.loads(stream.read().removeprefix("\ufeff"))
     except json.JSONDecodeError as exc:
         raise DataError(f"routes json: malformed ({exc})") from None
     if not isinstance(data, list):

@@ -124,6 +124,13 @@ class TestBuild:
                     "--ports", tmp_path / "ports.csv", "--out", tmp_path / "out"]) == 0
         assert '"node_count": 30' in (tmp_path / "out/stats.json").read_text()
 
+    def test_json_routes_saved_with_a_byte_order_mark(self, tmp_path):
+        routes = tmp_path / "routes.json"
+        routes.write_bytes(b'\xef\xbb\xbf[{"route_id": "R1", "ports": ["P000", "P001"]}]')
+        assert run(["build", "--routes", routes,
+                    "--ports", FIXTURE / "ports.csv", "--out", tmp_path / "out"]) == 0
+        assert '"edge_count": 1' in (tmp_path / "out/stats.json").read_text()
+
     def test_empty_route_file_errors(self, tmp_path, capsys):
         empty = tmp_path / "routes.csv"
         empty.write_text("route_id,seq,port_id\n")

@@ -362,8 +362,8 @@ class TestSelectModel:
     def test_too_few_observations_error(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(4, 4))
-        # sizes 1 and 2 fit; size 3 is the first with no residual degree of freedom
-        with pytest.raises(DataError, match="^need more than 4 observations, got 4$"):
+        # the full model's 5 parameters leave no residual degree of freedom
+        with pytest.raises(DataError, match="^need more than 5 observations, got 4$"):
             select_model(design(x, rng.normal(size=4)))
 
     @pytest.mark.parametrize("k", [0, econometrics.MAX_CANDIDATES + 1])
@@ -379,12 +379,21 @@ class TestSelectModel:
         with pytest.raises(DataError, match="^vif_threshold must exceed 1$"):
             select_model(d, threshold)
 
-    def test_collinear_small_subset_reported_before_too_few_observations(self):
+    @pytest.mark.parametrize("n, k, collinear", [(5, 4, True), (16, 16, False)])
+    def test_too_few_observations_raise_before_any_fit(self, monkeypatch, n, k, collinear):
+        # the shortage is the design's shape: no subset is fitted, so a
+        # collinear pair among the candidates is never met
         rng = np.random.default_rng(12)
-        x = rng.normal(size=(5, 4))
-        x[:, 3] = 2.0 * x[:, 1]
-        with pytest.raises(DataError, match="rank deficient"):
-            select_model(design(x, rng.normal(size=5)))
+        x = rng.normal(size=(n, k))
+        if collinear:
+            x[:, 3] = 2.0 * x[:, 1]
+
+        def extend(*args):
+            raise AssertionError("a column step")
+
+        monkeypatch.setattr(econometrics._Walk, "extend", extend)
+        with pytest.raises(DataError, match=f"^need more than {k + 1} observations, got {n}$"):
+            select_model(design(x, rng.normal(size=n)))
 
 
 class TestScaleInvariance:
@@ -576,16 +585,15 @@ def selection_bits(sel):
     return rows, sel.verdict and sel.verdict.variables
 
 
-def _subsets(k, max_size):
-    """The candidate positions of every subset of at most max_size of k
-    candidates, in the walk's depth-first order."""
+def _subsets(k):
+    """The candidate positions of every nonempty subset of k candidates, in
+    the walk's depth-first order."""
     out = []
 
     def walk(cols, pending):
         for at in range(len(pending)):
             out.append(cols + (pending[at],))
-            if len(cols) + 1 < max_size:
-                walk(cols + (pending[at],), pending[at + 1:])
+            walk(cols + (pending[at],), pending[at + 1:])
 
     walk((), tuple(range(k)))
     return out
@@ -612,6 +620,10 @@ def walk_design(request):
         return d, selection_bits(select_model(d))
 
 
+# ids "k-k": a walk over k candidates, whose largest subset holds all k
+K_IDS = "{0}-{0}".format
+
+
 class TestForkedWalk:
     """The walk's ranges fitted in forked workers give the table and the
     verdict of one process, and leave no child and the CPU mask as it was."""
@@ -624,28 +636,26 @@ class TestForkedWalk:
         assert selection_bits(select_model(d)) == serial
         assert_no_child_and_mask(mask)
 
-    @pytest.mark.parametrize("k, max_size", [(12, 12), (7, 7), (10, 10), (12, 5), (9, 2)])
+    @pytest.mark.parametrize("k", [12, 7, 10], ids=K_IDS)
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 8])
-    def test_deal_covers_each_subset_once_and_balances(self, k, max_size, workers):
+    def test_deal_covers_each_subset_once_and_balances(self, k, workers):
         """The walk dealt to w workers as select_model deals it: part i takes
         the range [n*i//w, n*(i+1)//w) of the n subsets' depth-first order."""
         walk = _ColumnsOnly(k)
         root = walk.root(range(k))
-        order = _subsets(k, max_size)
+        order = _subsets(k)
         n, w = len(order), min(workers, len(order))
-        parts = [[node.cols for node in walk.subtree(root, max_size, n * i // w,
-                                                     n * (i + 1) // w)]
+        parts = [[node.cols for node in walk.subtree(root, n * i // w, n * (i + 1) // w)]
                  for i in range(w)]
-        assert [node.cols for node in walk.subtree(root, max_size)] == order
+        assert [node.cols for node in walk.subtree(root)] == order
         assert [cols for part in parts for cols in part] == order
         assert {len(part) for part in parts} <= {n // w, -(-n // w)}
 
-    @pytest.mark.parametrize("k, max_size", [(10, 10), (12, 5), (9, 2)])
+    @pytest.mark.parametrize("k", [10], ids=K_IDS)
     @pytest.mark.parametrize("workers", [2, 3, 8])
-    def test_range_extends_only_its_subsets_and_their_ancestors(
-            self, monkeypatch, k, max_size, workers):
+    def test_range_extends_only_its_subsets_and_their_ancestors(self, monkeypatch, k, workers):
         """A range takes a column step for each of its subsets and for at
-        most max_size ancestors of its first one, and none elsewhere."""
+        most k ancestors of its first one, and none elsewhere."""
         steps = []
         extend = econometrics._Walk.extend
 
@@ -656,12 +666,12 @@ class TestForkedWalk:
         monkeypatch.setattr(econometrics._Walk, "extend", counted)
         walk = econometrics._Walk(correlated_design(k))
         root = walk.root(range(k))
-        n = econometrics._subtree_size(k, max_size) - 1
+        n = (1 << k) - 1
         for i in range(workers):
             lo, hi = n * i // workers, n * (i + 1) // workers
             steps.clear()
-            assert len(list(walk.subtree(root, max_size, lo, hi))) == hi - lo
-            assert len(steps) <= (hi - lo) + max_size
+            assert len(list(walk.subtree(root, lo, hi))) == hi - lo
+            assert len(steps) <= (hi - lo) + k
 
     def test_deal_at_k12_over_two_workers(self, monkeypatch):
         # the first candidate's subtree, but for its last subset, against the rest

@@ -12,8 +12,6 @@ import glsn
 
 # (file, innermost function) -> how many sum() calls it may hold
 ALLOWED = {
-    # sums ints: exact on every Python
-    ("econometrics.py", "_subtree_size"): 1,
     # raw_total sums floats, but math.fsum there changes every generated
     # bilateral value and so the inputs the benchmark's references hold; it
     # waits for their one-time regeneration together with the switch to

@@ -129,6 +129,8 @@ def test_parse_bilateral_short_row():
      "bilateral line 2: short row, no lsbci"),
     (lambda f: parse_routes(s(ROUTES), f), "route_id,capacity_teu\nR1\n",
      "routes_meta line 2: short row, no capacity_teu"),
+    # every column of routes.csv is required, so each one is named
+    (parse_routes, "route_id,seq,port_id\nR1,1\n", "routes line 2: needs route_id, seq and port_id"),
 ])
 def test_short_row_missing_an_optional_field(parse, text, needle):
     # a blank field is missing data; a missing field is a malformed row
@@ -437,6 +439,11 @@ def test_empty_file_raises(name):
 def test_parse_routes_json_structure(text, error):
     with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
         parse_routes_json(s(text))
+
+
+def test_parse_routes_json_drops_a_leading_byte_order_mark():
+    text = '[{"route_id": "R1", "capacity_teu": 600, "ports": ["A", "B"]}]'
+    assert parse_routes_json(s("\ufeff" + text)) == parse_routes_json(s(text))
 
 
 def test_only_rows_reads_csv():
